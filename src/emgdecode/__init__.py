@@ -30,7 +30,6 @@ from .descriptors import (
     MLDTriple,
     block_covariance,
     extract_mld_bfm,
-    jacobi_eigvals,
     mld_triple,
     omega,
     phi,

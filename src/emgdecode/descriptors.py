@@ -65,90 +65,6 @@ def block_covariance(seg) -> np.ndarray:
     return (arr.T @ arr) / arr.shape[0]
 
 
-def _round_robin_pairs(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule covering every (p, q) pair once per sweep in
-    rounds of disjoint pairs (odd k gets a bye slot that is dropped)."""
-    n = k + (k % 2)
-    players = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        ps, qs = [], []
-        for i in range(n // 2):
-            a, b = players[i], players[n - 1 - i]
-            if a < k and b < k:
-                ps.append(a)
-                qs.append(b)
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def jacobi_eigvals(mats, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of symmetric matrices by cyclic Jacobi rotations.
-
-    Accepts a single (K, K) matrix or a batch (..., K, K). Each sweep cycles
-    through all pairs in a fixed round-robin order; the disjoint pairs of a
-    round rotate simultaneously across the whole batch, so the result does
-    not depend on any evaluation order. Convergence: off-diagonal Frobenius
-    norm <= tol * trace for every matrix in the batch.
-
-    Returns eigenvalues sorted descending along the last axis.
-    """
-    A = np.asarray(mats, dtype=np.float64)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise InvalidInputError("expected square matrices of shape (..., K, K)")
-    batch_shape = A.shape[:-2]
-    k = A.shape[-1]
-    A = A.reshape((-1, k, k)).copy()
-    if k == 1:
-        return A[:, 0, 0].reshape(batch_shape + (1,))
-    diag_idx = np.arange(k)
-    iu_r, iu_c = np.triu_indices(k, 1)
-    rounds = _round_robin_pairs(k)
-    for _ in range(max_sweeps):
-        # off-diagonal norm gathered directly (a sum-of-squares subtraction
-        # would cancel near convergence and never reach the tolerance)
-        off = np.sqrt(2.0 * np.einsum("ni,ni->n", A[:, iu_r, iu_c], A[:, iu_r, iu_c]))
-        trace = np.abs(A[:, diag_idx, diag_idx]).sum(axis=1)
-        active = np.flatnonzero(off > tol * trace)
-        if active.size == 0:
-            break
-        sub = A[active]
-        for p_arr, q_arr in rounds:
-            apq = sub[:, p_arr, q_arr]
-            nz = apq != 0.0
-            if not nz.any():
-                continue
-            app = sub[:, p_arr, p_arr]
-            aqq = sub[:, q_arr, q_arr]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = np.where(nz, (aqq - app) / (2.0 * apq), 0.0)
-                t = np.where(
-                    nz,
-                    np.where(tau >= 0.0, 1.0, -1.0)
-                    / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                    0.0,
-                )
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rp = sub[:, p_arr, :]
-            rq = sub[:, q_arr, :]
-            sub[:, p_arr, :] = c[:, :, None] * rp - s[:, :, None] * rq
-            sub[:, q_arr, :] = s[:, :, None] * rp + c[:, :, None] * rq
-            cp = sub[:, :, p_arr]
-            cq = sub[:, :, q_arr]
-            sub[:, :, p_arr] = c[:, None, :] * cp - s[:, None, :] * cq
-            sub[:, :, q_arr] = s[:, None, :] * cp + c[:, None, :] * cq
-            # zero the rotated pairs exactly; skipped (apq == 0) entries keep theirs
-            zeroed = np.where(nz, 0.0, sub[:, p_arr, q_arr])
-            sub[:, p_arr, q_arr] = zeroed
-            sub[:, q_arr, p_arr] = zeroed
-        A[active] = sub
-    eig = A[:, diag_idx, diag_idx]
-    eig = np.sort(eig, axis=-1)[:, ::-1]
-    return eig.reshape(batch_shape + (k,))
-
-
 def spectral_complexity(eigvals) -> np.ndarray | float:
     """Omega from eigenvalues: exp(-sum lam_i * log lam_i) after normalizing
     to unit sum. Negative eigenvalues (numerical noise) are clamped to zero;
@@ -168,7 +84,7 @@ def spectral_complexity(eigvals) -> np.ndarray | float:
 
 def omega(seg) -> float:
     """Spatial complexity of a segment, in [1, K]."""
-    return float(spectral_complexity(jacobi_eigvals(block_covariance(seg))))
+    return float(spectral_complexity(np.linalg.eigvalsh(block_covariance(seg))))
 
 
 class MLDTriple(NamedTuple):
@@ -224,6 +140,10 @@ def extract_mld_bfm(
     """MLD-BFM feature tensor: W x (3 * n_blocks), columns grouped per block
     as [sigma, phi, omega] in block enumeration order."""
     X = x.data
+    finite = np.isfinite(X)
+    if not finite.all():
+        s, c = np.argwhere(~finite)[0]
+        raise InvalidInputError(f"signal value at sample {s}, channel {c} is not finite ({X[s, c]})")
     L = window_plan.length
     n_b = block_plan.n_blocks
     K = block_plan.channels_per_block
@@ -254,8 +174,7 @@ def extract_mld_bfm(
             gram = v @ v.transpose(0, 2, 1)  # (W, G, G) = X^T X per window
             local = idx[block_ids] - g.channel_offset  # (n_bg, K)
             covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (W, n_bg, K, K)
-            ev = jacobi_eigvals(covs)
-            omega_vals[:, block_ids] = spectral_complexity(ev)
+            omega_vals[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))
 
     values = np.empty((window_plan.count, 3 * n_b))
     values[:, 0::3] = sig

@@ -26,7 +26,6 @@ from emgdecode import (
     fit_ridge,
     group_columns_by_block,
     iter_tasks,
-    jacobi_eigvals,
     phi,
     plan_blocks,
     plan_windows,
@@ -74,16 +73,16 @@ def test_acceptance_1_descriptor_oracle_suite():
         for _ in range(250):
             L = int(rng.integers(max(2, k), 80))
             seg = rng.standard_normal((L, k))
-            # omega: Jacobi path vs SVD oracle
+            # omega: the extractor's eigvalsh route vs SVD oracle
             cov = (seg.T @ seg) / L
-            omega_jacobi = float(spectral_complexity(jacobi_eigvals(cov)))
+            omega_eig = float(spectral_complexity(np.linalg.eigvalsh(cov)))
             svals = np.linalg.svd(seg / math.sqrt(L), compute_uv=False)
             lam = np.zeros(k)
             lam[: svals.shape[0]] = svals**2
             p = lam / lam.sum()
             p = p[p > 0]
             omega_svd = float(np.exp(-(p * np.log(p)).sum()))
-            assert abs(omega_jacobi - omega_svd) <= 1e-8
+            assert abs(omega_eig - omega_svd) <= 1e-8
             # sigma vs flattened RMS
             flat_rms = float(np.sqrt(np.mean(seg.ravel() ** 2)))
             assert abs(sigma(seg) - flat_rms) <= 1e-12 * max(1.0, flat_rms)

@@ -7,12 +7,12 @@ import pytest
 
 from emgdecode import (
     GridLayout,
+    InvalidInputError,
     SignalMatrix,
     block_covariance,
     default_grids,
     extract_mld_bfm,
     extract_rms,
-    jacobi_eigvals,
     mld_triple,
     omega,
     phi,
@@ -109,30 +109,36 @@ class TestBlockCovariance:
         assert np.allclose(block_covariance(seg), 4.0 * np.ones((2, 2)), atol=1e-12)
 
 
-class TestJacobi:
+class TestEigvalsh:
+    """The eigen route omega takes, in omega() and in the stacked extractor."""
+
     def test_matches_numpy_eigh(self):
         rng = np.random.default_rng(6)
         for k in (2, 3, 5, 8, 16):
             A = rng.standard_normal((k, k))
             sym = A @ A.T
-            got = jacobi_eigvals(sym)
-            want = np.sort(np.linalg.eigvalsh(sym))[::-1]
+            got = np.linalg.eigvalsh(sym)
+            want = np.linalg.eigh(sym)[0]
             assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(7)
-        mats = rng.standard_normal((40, 4, 4))
-        mats = mats @ mats.transpose(0, 2, 1)
-        batch = jacobi_eigvals(mats)
-        for i in range(40):
-            assert np.allclose(batch[i], jacobi_eigvals(mats[i]), atol=1e-12)
+        mats = rng.standard_normal((10, 4, 4, 4))  # (W, n_blocks, K, K) like the extractor
+        mats = mats @ mats.transpose(0, 1, 3, 2)
+        batch = np.linalg.eigvalsh(mats)
+        omegas = spectral_complexity(batch)
+        assert omegas.shape == (10, 4)
+        for w in range(10):
+            for b in range(4):
+                assert np.allclose(batch[w, b], np.linalg.eigvalsh(mats[w, b]), atol=1e-12)
+                assert omegas[w, b] == pytest.approx(spectral_complexity(batch[w, b]), abs=1e-12)
 
     def test_zero_matrix(self):
-        assert np.array_equal(jacobi_eigvals(np.zeros((3, 3))), np.zeros(3))
+        assert np.array_equal(np.linalg.eigvalsh(np.zeros((3, 3))), np.zeros(3))
 
     def test_diagonal_matrix(self):
-        got = jacobi_eigvals(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(got, np.array([3.0, 2.0, 1.0]))
+        got = np.linalg.eigvalsh(np.diag([3.0, 1.0, 2.0]))
+        assert np.array_equal(got, np.array([1.0, 2.0, 3.0]))
 
 
 class TestOmega:
@@ -216,10 +222,11 @@ class TestExtract:
         assert tensor.n_features == 294
         assert tensor.columns[:4] == ("b000:sigma", "b000:phi", "b000:omega", "b001:sigma")
 
-    def test_cells_match_segmentwise_descriptors(self):
+    @pytest.mark.parametrize("block_size", [2, 4, 8])
+    def test_cells_match_segmentwise_descriptors(self, block_size):
         x = coded_signal(n_samples=900, seed=14)
         wp = plan_windows(x.n_samples, 308, 103)
-        bp = plan_blocks(x.grids, 2, 2)
+        bp = plan_blocks(x.grids, block_size, 2)
         tensor = extract_mld_bfm(x, bp, wp)
         rng = np.random.default_rng(15)
         for _ in range(12):
@@ -238,3 +245,11 @@ class TestExtract:
         a = extract_mld_bfm(x, bp, wp)
         b = extract_mld_bfm(x, bp, wp)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_non_finite_sample_named(self, block_size):
+        x = coded_signal(n_samples=700, seed=17)
+        x.data[100, 5] = np.nan
+        wp = plan_windows(x.n_samples, 308, 103)
+        with pytest.raises(InvalidInputError, match=r"sample 100, channel 5 is not finite"):
+            extract_mld_bfm(x, plan_blocks(x.grids, block_size, 1), wp)
