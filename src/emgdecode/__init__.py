@@ -93,6 +93,5 @@ from .signal_core import (
     filtfilt,
     frequency_response,
     resample_targets,
-    temporal_split,
 )
 from .synth import SynthConfig, generate_task, generate_tasks, iter_tasks

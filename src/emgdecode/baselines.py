@@ -17,11 +17,12 @@ from .blocks import (
 )
 from .descriptors import FeatureTensor
 from .errors import InvalidInputError, InvalidSpecError
-from .signal_core import SignalMatrix
+from .signal_core import SignalMatrix, require_finite
 
 
 def extract_rms(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
     """W x C tensor of per-channel windowed RMS."""
+    require_finite(x)
     sumsq = window_sumsq(x.data, window_plan)
     values = np.sqrt(sumsq / window_plan.length)
     columns = tuple(f"ch{c:03d}:rms" for c in range(x.n_channels))
@@ -30,6 +31,7 @@ def extract_rms(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
 
 def extract_mav_wl(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
     """W x 2C tensor: mean absolute value columns, then waveform length."""
+    require_finite(x)
     mav = window_abs_sum(x.data, window_plan) / window_plan.length
     wl = window_abs_diff_sum(x.data, window_plan)
     values = np.concatenate([mav, wl], axis=1)

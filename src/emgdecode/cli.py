@@ -13,13 +13,9 @@ import time
 from pathlib import Path
 
 from . import io
-from .baselines import extract_mav_wl, extract_rms
-from .blocks import plan_blocks, plan_windows_seconds
 from .config import SWEEP_RANGES, RunConfig
-from .descriptors import extract_mld_bfm
 from .errors import ConfigError, EmgDecodeError, InvalidSpecError
-from .evaluation import run_pipeline, run_sfbs, sweep
-from .signal_core import crop, design_butterworth, filtfilt, FilterSpec
+from .evaluation import featurize, run_pipeline, run_sfbs, sweep
 from .synth import SynthConfig, iter_tasks
 
 USAGE_EXIT = 2
@@ -93,41 +89,20 @@ def cmd_extract(args) -> int:
             "extract writes raw per-task features; pca/nmf are fit inside evaluate/train"
         )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    n = 0
-    for i, (x, traj) in enumerate(io.iter_dataset(config.dataset)):
-        coeffs = design_butterworth(
-            FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz), x.fs
-        )
-        x = filtfilt(x, coeffs)
-        if config.notch_hz is not None:
-            x = filtfilt(
-                x, design_butterworth(FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q), x.fs)
-            )
-        if config.crop_s is not None:
-            x = crop(x, config.crop_s[0], config.crop_s[1])
-        window_plan = plan_windows_seconds(x.n_samples, x.fs, config.window_s, config.overlap_s)
-        if config.feature == "mld-bfm":
-            tensor = extract_mld_bfm(
-                x, plan_blocks(x.grids, config.block_size, config.block_step), window_plan
-            )
-        elif config.feature == "rms":
-            tensor = extract_rms(x, window_plan)
-        else:
-            tensor = extract_mav_wl(x, window_plan)
+    features, _, _ = featurize(config)
+    for i, tensor in enumerate(features):
         io.save_features_binary(tensor, out / f"task_{i:02d}_features")
-        n += 1
     io.save_json(
         {
             "command": "extract",
             "config": config.to_dict(),
-            "n_tasks": n,
+            "n_tasks": len(features),
             "wall_time_s": time.perf_counter() - t0,
         },
         out / "manifest.json",
     )
-    print(f"extracted {config.feature} features for {n} tasks into {out}")
+    print(f"extracted {config.feature} features for {len(features)} tasks into {out}")
     return 0
 
 

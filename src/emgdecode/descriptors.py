@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import BlockPlan, WindowPlan, window_diff_sumsq, window_sumsq, window_view
 from .errors import InvalidInputError
-from .signal_core import SignalMatrix
+from .signal_core import SignalMatrix, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,11 +139,8 @@ def extract_mld_bfm(
 ) -> FeatureTensor:
     """MLD-BFM feature tensor: W x (3 * n_blocks), columns grouped per block
     as [sigma, phi, omega] in block enumeration order."""
+    require_finite(x)
     X = x.data
-    finite = np.isfinite(X)
-    if not finite.all():
-        s, c = np.argwhere(~finite)[0]
-        raise InvalidInputError(f"signal value at sample {s}, channel {c} is not finite ({X[s, c]})")
     L = window_plan.length
     n_b = block_plan.n_blocks
     K = block_plan.channels_per_block

@@ -14,7 +14,8 @@ from .baselines import extract_mav_wl, extract_rms, fit_nmf, fit_pca, select_com
 from .blocks import BlockPlan, plan_blocks, plan_windows_seconds
 from .config import SWEEP_FIELDS, SWEEP_RANGES, RunConfig
 from .descriptors import FeatureTensor, extract_mld_bfm
-from .errors import InvalidInputError, InvalidSpecError, PipelineError
+from .errors import AlignmentError, InvalidInputError, InvalidSpecError, PipelineError
+from .io import iter_dataset
 from .metrics import MetricsReport, compute_metrics, r2_vw
 from .regression import (
     FittedRegressor,
@@ -33,6 +34,7 @@ from .signal_core import (
     crop,
     design_butterworth,
     filtfilt,
+    require_finite,
     resample_targets,
     split_chunks,
 )
@@ -54,35 +56,53 @@ class PipelineResult:
     y_pred: np.ndarray
 
 
-def _extract_stage(config: RunConfig, tasks) -> tuple[list[FeatureTensor], list[np.ndarray], dict]:
+def featurize(
+    config: RunConfig, tasks: Iterable | None = None
+) -> tuple[list[FeatureTensor], list[np.ndarray], dict]:
     """Filter, crop, window, and featurize every task; resample its targets
-    at the window end times. Raw recordings are consumed lazily."""
-    bp_coeffs = None
-    notch_coeffs = None
+    at the window end times.
+
+    ``tasks`` is an iterable of (SignalMatrix, Trajectory), consumed lazily;
+    when omitted the dataset directory named in the config is read. The
+    filters and the block plan are designed from task 0, so every task must
+    share task 0's ``fs``, grids and trajectory labels; a task that does not,
+    or whose raw signal holds a non-finite value, raises an error naming it.
+    ``info`` records task 0's window plan, block plan, ``pred_rate`` and
+    labels, and the number of tasks.
+    """
+    if tasks is None:
+        if config.dataset is None:
+            raise PipelineError("load", "no tasks given and config.dataset is not set")
+        tasks = iter_dataset(config.dataset)
     features: list[FeatureTensor] = []
     targets: list[np.ndarray] = []
-    labels: tuple[str, ...] | None = None
     info: dict = {}
-    for x, traj in tasks:
-        if bp_coeffs is None:
-            bp_coeffs = design_butterworth(
-                FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz), x.fs
-            )
+    for i, (x, traj) in enumerate(tasks):
+        layout = {"fs": x.fs, "grids": x.grids, "labels": traj.labels}
+        if i == 0:
+            first = layout
+            specs = [FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz)]
             if config.notch_hz is not None:
-                notch_coeffs = design_butterworth(
-                    FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q), x.fs
-                )
-        x = filtfilt(x, bp_coeffs)
-        if notch_coeffs is not None:
-            x = filtfilt(x, notch_coeffs)
+                specs.append(FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q))
+            filters = [design_butterworth(spec, x.fs) for spec in specs]
+            if config.feature == "mld-bfm":
+                block_plan = plan_blocks(x.grids, config.block_size, config.block_step)
+                info["block_plan"] = block_plan.to_jsonable()
+                info["_block_plan"] = block_plan
+        try:
+            require_finite(x)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"task {i}: {exc}") from exc
+        for field, value in layout.items():
+            if value != first[field]:
+                raise AlignmentError(f"task {i}: {field} {value!r} differs from task 0's {first[field]!r}")
+        for coeffs in filters:
+            x = filtfilt(x, coeffs)
         if config.crop_s is not None:
             x = crop(x, config.crop_s[0], config.crop_s[1])
         window_plan = plan_windows_seconds(x.n_samples, x.fs, config.window_s, config.overlap_s)
         if config.feature == "mld-bfm":
-            block_plan = plan_blocks(x.grids, config.block_size, config.block_step)
             tensor = extract_mld_bfm(x, block_plan, window_plan)
-            info.setdefault("block_plan", block_plan.to_jsonable())
-            info.setdefault("_block_plan", block_plan)
         elif config.feature == "mav-wl":
             tensor = extract_mav_wl(x, window_plan)
         else:
@@ -90,13 +110,11 @@ def _extract_stage(config: RunConfig, tasks) -> tuple[list[FeatureTensor], list[
             tensor = extract_rms(x, window_plan)
         features.append(tensor)
         targets.append(resample_targets(traj, window_plan, x.fs, t_offset=x.t0))
-        labels = traj.labels
         info.setdefault("window_plan", window_plan.to_jsonable())
-        info.setdefault("fs", x.fs)
         info.setdefault("pred_rate", x.fs / window_plan.stride)
+        info.setdefault("labels", traj.labels)
     if not features:
         raise InvalidInputError("dataset contains no tasks")
-    info["labels"] = labels
     info["n_tasks"] = len(features)
     return features, targets, info
 
@@ -206,15 +224,8 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
     dataset directory named in the config is loaded lazily.
     """
     t_start = time.perf_counter()
-    if tasks is None:
-        if config.dataset is None:
-            raise PipelineError("load", "no tasks given and config.dataset is not set")
-        from .io import iter_dataset
-
-        tasks = iter_dataset(config.dataset)
-
     try:
-        features, targets, info = _extract_stage(config, tasks)
+        features, targets, info = featurize(config, tasks)
     except PipelineError:
         raise
     except Exception as exc:
@@ -393,13 +404,7 @@ def run_sfbs(
     scale once (per-column, so column subsets stay consistent), then run the
     greedy selection with a fixed-alpha ridge scorer."""
     cfg = config.replace(feature="mld-bfm", n_win=1)
-    if tasks is None:
-        if cfg.dataset is None:
-            raise PipelineError("load", "no tasks given and config.dataset is not set")
-        from .io import iter_dataset
-
-        tasks = iter_dataset(cfg.dataset)
-    features, targets, info = _extract_stage(cfg, tasks)
+    features, targets, info = featurize(cfg, tasks)
     train_chunks, test_chunks = split_chunks(features, targets, cfg.split_ratio)
     split = assemble_split(train_chunks, test_chunks, _seed_for(cfg.seed, _SEED_SPLIT))
     scaler = ScalerPair.fit(split.x_train, split.y_train)

@@ -128,7 +128,20 @@ def load_trajectory(path) -> Trajectory:
             rows.append([float(v) for v in row[1:]])
     if len(rows) < 2:
         raise InvalidInputError("trajectory CSV needs at least two rows")
+    # Trajectory keeps no time offset or per-sample stamps, so the stamps
+    # must be exactly 0, dt, 2 dt, ... for the angles to keep their times.
     t = np.asarray(times)
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    if not step > 0:
+        raise InvalidInputError(f"trajectory time stamps must increase (first {times[0]!r}, last {times[-1]!r})")
+    expected = np.arange(len(t)) * step
+    bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * step))
+    if bad.size:
+        k = bad[0]
+        raise InvalidInputError(
+            f"trajectory time stamps must start at 0 and be uniformly spaced: "
+            f"row {k} has t={times[k]!r}, expected {float(expected[k])!r}"
+        )
     fs_kin = (len(t) - 1) / (t[-1] - t[0])
     return Trajectory(angles=np.asarray(rows), fs_kin=float(fs_kin), labels=labels)
 
@@ -212,7 +225,3 @@ def iter_dataset(directory) -> Iterator[tuple[SignalMatrix, Trajectory]]:
             load_signal(directory / entry["signal"]),
             load_trajectory(directory / entry["trajectory"]),
         )
-
-
-def load_dataset(directory) -> list[tuple[SignalMatrix, Trajectory]]:
-    return list(iter_dataset(directory))

@@ -102,6 +102,15 @@ class SignalMatrix:
         return self.n_samples / self.fs
 
 
+def require_finite(x: SignalMatrix) -> None:
+    """Raise ``InvalidInputError`` naming the first (sample, channel) of ``x``
+    that is NaN or infinite."""
+    finite = np.isfinite(x.data)
+    if not finite.all():
+        s, c = np.argwhere(~finite)[0]
+        raise InvalidInputError(f"signal value at sample {s}, channel {c} is not finite ({x.data[s, c]})")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Finger joint-angle recording: (samples, fingers) matrix in degrees."""
@@ -315,17 +324,3 @@ def assemble_split(train_chunks, test_chunks, seed: int) -> SplitResult:
         test_chunk_sizes=tuple(c[0].shape[0] for c in test_chunks),
         permutation=perm,
     )
-
-
-def temporal_split(features, targets, ratio: float, seed: int) -> SplitResult:
-    """Contiguous per-task split, then concatenation across tasks with the
-    training rows randomly permuted and the test rows left in order.
-
-    ``features``/``targets`` may be single (rows, cols) arrays or sequences of
-    per-task arrays (FeatureTensor / Trajectory accepted).
-    """
-    single = hasattr(features, "ndim") or hasattr(features, "values")
-    feats = [features] if single else list(features)
-    targs = [targets] if single else list(targets)
-    train_chunks, test_chunks = split_chunks(feats, targs, ratio)
-    return assemble_split(train_chunks, test_chunks, seed)

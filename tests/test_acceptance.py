@@ -233,11 +233,11 @@ def test_acceptance_8_sfbs_self_consistency_and_planted_block():
     assert sorted(result.order) == list(range(98))
     # recompute a sample of steps from scratch on the first-n selected blocks
     cfg = DEFAULT_RUN.replace(feature="mld-bfm", n_win=1)
-    from emgdecode.evaluation import _extract_stage, _seed_for, _SEED_SPLIT
+    from emgdecode.evaluation import featurize, _seed_for, _SEED_SPLIT
     from emgdecode.regression import ScalerPair
     from emgdecode.signal_core import assemble_split, split_chunks
 
-    features, targets, _ = _extract_stage(cfg, iter_tasks(DEFAULT_SYNTH))
+    features, targets, _ = featurize(cfg, iter_tasks(DEFAULT_SYNTH))
     train_chunks, test_chunks = split_chunks(features, targets, cfg.split_ratio)
     split = assemble_split(train_chunks, test_chunks, _seed_for(cfg.seed, _SEED_SPLIT))
     scaler = ScalerPair.fit(split.x_train, split.y_train)

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, outputs, manifests."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestExtract:
         assert "task_00_features.f32" in names
         hdr = json.loads((out / "task_00_features.json").read_text())
         assert hdr["n_features"] == 128
+
+    def test_mixed_fs_exits_1(self, dataset, tmp_path, capsys):
+        root, ds = dataset
+        mixed = tmp_path / "mixed"
+        shutil.copytree(ds, mixed)
+        header = json.loads((mixed / "task_01.json").read_text())
+        header["fs"] *= 0.8
+        (mixed / "task_01.json").write_text(json.dumps(header))
+        cfg = write_run_config(root)
+        rc = main(["extract", "--dataset", str(mixed), "--config", str(cfg), "--out", str(tmp_path / "f")])
+        assert rc == 1
+        assert "task 1: fs" in capsys.readouterr().err
 
     def test_pca_rejected_for_extract(self, dataset):
         root, ds = dataset

@@ -11,6 +11,7 @@ from emgdecode import (
     SignalMatrix,
     block_covariance,
     default_grids,
+    extract_mav_wl,
     extract_mld_bfm,
     extract_rms,
     mld_triple,
@@ -246,10 +247,16 @@ class TestExtract:
         b = extract_mld_bfm(x, bp, wp)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("block_size", [1, 2, 4])
-    def test_non_finite_sample_named(self, block_size):
+    @pytest.mark.parametrize("extractor", [1, 2, 4, "rms", "mav-wl"])
+    def test_non_finite_sample_named(self, extractor):
+        # an integer is the block size of an MLD-BFM extraction
         x = coded_signal(n_samples=700, seed=17)
         x.data[100, 5] = np.nan
         wp = plan_windows(x.n_samples, 308, 103)
         with pytest.raises(InvalidInputError, match=r"sample 100, channel 5 is not finite"):
-            extract_mld_bfm(x, plan_blocks(x.grids, block_size, 1), wp)
+            if extractor == "rms":
+                extract_rms(x, wp)
+            elif extractor == "mav-wl":
+                extract_mav_wl(x, wp)
+            else:
+                extract_mld_bfm(x, plan_blocks(x.grids, extractor, 1), wp)

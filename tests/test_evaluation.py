@@ -1,12 +1,18 @@
 """Metrics, pipeline-level behavior, sweeps, SFBS, and contribution maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from emgdecode import (
     FeatureTensor,
     GridLayout,
+    PipelineError,
     RunConfig,
+    SynthConfig,
+    Trajectory,
+    generate_tasks,
     compute_metrics,
     contribution_map,
     decode_features,
@@ -171,6 +177,39 @@ class TestPipeline:
         with pytest.raises(PipelineError) as err:
             run_pipeline(bad, iter(small_tasks))
         assert err.value.stage == "extract"
+
+
+@pytest.fixture(scope="module")
+def three_tasks():
+    return generate_tasks(SynthConfig(seed=5, duration_s=2.0, tasks=((1,), (2,), (0, 1))))
+
+
+def with_last_task_changed(tasks, field):
+    x, traj = tasks[-1]
+    if field == "fs":
+        x = replace(x, fs=0.8 * x.fs)
+    elif field == "grids":
+        edc, fds = x.grids
+        x = replace(x, grids=(replace(edc, channel_offset=64), replace(fds, channel_offset=0)))
+    else:
+        traj = Trajectory(traj.angles[:, ::-1], traj.fs_kin, traj.labels[::-1])
+    return [*tasks[:-1], (x, traj)]
+
+
+class TestCrossTaskChecks:
+    @pytest.mark.parametrize("field", ["fs", "grids", "labels"])
+    def test_task_unlike_task_0_named(self, three_tasks, field):
+        tasks = with_last_task_changed(three_tasks, field)
+        with pytest.raises(PipelineError, match=rf"task 2: {field} .* differs from task 0's"):
+            run_pipeline(RunConfig(crop_s=(0.25, 1.75), seed=0), tasks)
+
+    def test_non_finite_raw_sample_named(self, three_tasks):
+        x, traj = three_tasks[2]
+        data = x.data.copy()
+        data[3000, 5] = np.nan
+        tasks = [*three_tasks[:2], (replace(x, data=data), traj)]
+        with pytest.raises(PipelineError, match=r"task 2: .*sample 3000, channel 5 is not finite"):
+            run_pipeline(RunConfig(crop_s=(0.25, 1.75), seed=0), tasks)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from emgdecode import FeatureTensor, SynthConfig, Trajectory, generate_task
+from emgdecode import FeatureTensor, InvalidInputError, SynthConfig, Trajectory, generate_task
 from emgdecode import io
 
 
@@ -64,6 +64,17 @@ class TestTrajectoryRoundTrip:
         assert back.labels == traj.labels
         assert back.fs_kin == pytest.approx(traj.fs_kin, rel=1e-9)
         assert np.abs(back.angles - traj.angles).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "stamps,row",
+        [((0.5, 0.6, 0.7), r"row 0 has t=0\.5"), ((0.0, 0.1, 0.5), r"row 1 has t=0\.1")],
+        ids=["offset", "non-uniform"],
+    )
+    def test_stamps_not_0_dt_2dt_rejected(self, tmp_path, stamps, row):
+        path = tmp_path / "angles.csv"
+        path.write_text("t,thumb\n" + "".join(f"{t},{i}\n" for i, t in enumerate(stamps)))
+        with pytest.raises(InvalidInputError, match=row):
+            io.load_trajectory(path)
 
 
 class TestFeatureRoundTrip:

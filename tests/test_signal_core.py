@@ -20,10 +20,9 @@ from emgdecode import (
     filtfilt,
     frequency_response,
     resample_targets,
-    temporal_split,
 )
 from emgdecode.blocks import plan_windows
-from emgdecode.signal_core import apply_filtfilt
+from emgdecode.signal_core import apply_filtfilt, assemble_split, split_chunks
 
 FS = 2052.52
 
@@ -187,19 +186,24 @@ class TestResampleTargets:
             resample_targets(traj, plan, 1000.0)
 
 
+def split_then_assemble(features, targets, ratio, seed):
+    train_chunks, test_chunks = split_chunks(features, targets, ratio)
+    return assemble_split(train_chunks, test_chunks, seed)
+
+
 class TestTemporalSplit:
     def test_contiguous_halves_and_order(self):
         feats = np.arange(100.0)[:, None]
         targs = np.arange(100.0)[:, None]
-        res = temporal_split(feats, targs, ratio=0.5, seed=0)
+        res = split_then_assemble([feats], [targs], ratio=0.5, seed=0)
         assert sorted(res.x_train[:, 0]) == list(map(float, range(50)))
         assert list(res.x_test[:, 0]) == list(map(float, range(50, 100)))
         assert not np.array_equal(res.x_train[:, 0], np.arange(50.0))  # permuted
 
     def test_same_seed_same_permutation(self):
         feats = np.arange(100.0)[:, None]
-        res1 = temporal_split(feats, feats, 0.5, seed=9)
-        res2 = temporal_split(feats, feats, 0.5, seed=9)
+        res1 = split_then_assemble([feats], [feats], 0.5, seed=9)
+        res2 = split_then_assemble([feats], [feats], 0.5, seed=9)
         assert np.array_equal(res1.permutation, res2.permutation)
         assert np.array_equal(res1.x_train, res2.x_train)
 
@@ -207,7 +211,7 @@ class TestTemporalSplit:
         rng = np.random.default_rng(4)
         feats = [rng.standard_normal((100, 3)) + 10 * i for i in range(8)]
         targs = [np.full((100, 2), float(i)) for i in range(8)]
-        res = temporal_split(feats, targs, 0.5, seed=1)
+        res = split_then_assemble(feats, targs, 0.5, seed=1)
         assert res.x_train.shape == (400, 3)
         assert res.x_test.shape == (400, 3)
         # test rows remain in task order
@@ -217,19 +221,19 @@ class TestTemporalSplit:
     @pytest.mark.parametrize("rows,ratio", [(100, 0.5), (101, 0.5), (99, 0.25), (57, 0.8)])
     def test_split_sizes(self, rows, ratio):
         feats = np.zeros((rows, 2))
-        res = temporal_split(feats, feats, ratio, seed=0)
+        res = split_then_assemble([feats], [feats], ratio, seed=0)
         n_train = int(math.floor(rows * ratio))
         assert res.x_train.shape[0] == n_train
         assert res.x_test.shape[0] == rows - n_train
 
     def test_misaligned_rows_rejected(self):
         with pytest.raises(Exception):
-            temporal_split([np.zeros((10, 2))], [np.zeros((9, 1))], 0.5, seed=0)
+            split_then_assemble([np.zeros((10, 2))], [np.zeros((9, 1))], 0.5, seed=0)
 
     def test_bad_ratio_rejected(self):
         feats = np.zeros((10, 2))
         with pytest.raises(InvalidSpecError):
-            temporal_split(feats, feats, 1.0, seed=0)
+            split_then_assemble([feats], [feats], 1.0, seed=0)
 
 
 class TestContainers:
