@@ -84,6 +84,8 @@ def cmd_extract(args) -> int:
     config = _run_config(
         args, dataset=args.dataset, feature=args.feature, seed=args.seed, out=args.out
     )
+    if config.dataset is None:
+        raise ConfigError("extract requires --dataset (or a dataset entry in the config)")
     if config.feature in ("pca", "nmf"):
         raise ConfigError(
             "extract writes raw per-task features; pca/nmf are fit inside evaluate/train"
@@ -174,9 +176,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sfbs(args) -> int:
-    config = _run_config(
-        args, dataset=args.dataset, model=args.model, seed=args.seed, out=args.out
-    )
+    config = _run_config(args, dataset=args.dataset, seed=args.seed, out=args.out)
     if config.dataset is None:
         raise ConfigError("sfbs requires --dataset (or a dataset entry in the config)")
     result, maps, plan, manifest = run_sfbs(config, alpha=args.alpha)
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sfbs", help="sequential forward block selection")
     common(p)
-    p.add_argument("--model", default=None)
     p.add_argument("--alpha", type=float, default=1.0, help="ridge strength for the scorer")
     p.set_defaults(func=cmd_sfbs)
 

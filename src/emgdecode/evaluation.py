@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import io as _io
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .baselines import extract_mav_wl, extract_rms, fit_nmf, fit_pca, select_components, transform
 from .blocks import BlockPlan, plan_blocks, plan_windows_seconds
@@ -353,40 +355,125 @@ def group_columns_by_block(tensor: FeatureTensor) -> dict[int, np.ndarray]:
     return {b: np.asarray(cols, dtype=np.intp) for b, cols in sorted(groups.items())}
 
 
+# Relative score gap below which SFBS candidates tie: far above the rounding
+# of the Gram route (~1e-14), far below the 1e-10 agreement with refits.
+_TIE_TOL = 1e-12
+
+
 def sfbs_select(
     x_train: np.ndarray,
     y_train: np.ndarray,
     x_test: np.ndarray,
     y_test: np.ndarray,
     groups: dict[int, np.ndarray],
-    fit_score: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float],
+    alpha: float = 1.0,
 ) -> SFBSResult:
-    """Greedy loop: at each step fit every remaining candidate block joined
-    with the already-selected columns and keep the best test-set score.
-    Ties break to the lowest block id; a failing candidate scores -inf."""
+    """Greedy loop: at each step score every remaining candidate block joined
+    with the already-selected columns by a ridge fit (``alpha``, unpenalized
+    intercept) on the train rows and ``r2_vw`` on the test rows, and keep the
+    best. Ties, up to a relative 1e-12, break to the lowest block id.
+
+    The fits run in Gram space: ``G = Xc'Xc + alpha I`` and ``Xc'Yc`` are
+    formed once, the Cholesky factor ``L`` of the selected block of ``G`` is
+    kept, and each step scores all candidates of one width together through a
+    batch of c x c Schur complements. The chosen candidate borders ``L``.
+    Scores equal ``ridge_scorer(alpha)`` refits up to rounding.
+    """
+    alpha = _require_alpha(alpha)
+    x_train, x_test = np.asarray(x_train, dtype=np.float64), np.asarray(x_test, dtype=np.float64)
+    y_train, y_test = (np.asarray(y, dtype=np.float64) for y in (y_train, y_test))
+    y_train, y_test = (y[:, None] if y.ndim == 1 else y for y in (y_train, y_test))
+    if x_train.ndim != 2 or x_train.shape[1:] != x_test.shape[1:] or y_train.shape[1] != y_test.shape[1]:
+        raise InvalidInputError(
+            f"sfbs shapes disagree: x {x_train.shape}/{x_test.shape}, y {y_train.shape}/{y_test.shape}"
+        )
+    if len(x_train) != len(y_train) or len(x_test) != len(y_test):
+        raise AlignmentError("sfbs: x and y row counts differ")
+    for name, a in (("x_train", x_train), ("y_train", y_train), ("x_test", x_test), ("y_test", y_test)):
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"sfbs requires finite inputs; {name} holds NaN/Inf")
+    all_cols = np.concatenate([np.empty(0, dtype=np.intp), *groups.values()])
+    if len(np.unique(all_cols)) != len(all_cols):
+        raise InvalidInputError("sfbs groups must not share columns")
+    # r2_vw weights each output by its test variance, so it equals
+    # 1 - sum(SSE) / sum(SST) over the outputs with non-zero variance
+    keep = y_test.var(axis=0) > 0.0 if len(y_test) >= 2 else np.zeros(y_test.shape[1], dtype=bool)
+    if not keep.any():
+        raise InvalidInputError("sfbs needs two or more test rows and a test output with non-zero variance")
+    if not keep.all():
+        warnings.warn("zero-variance output excluded from variance-weighted R^2")
+    sst = float(((y_test[:, keep] - y_test[:, keep].mean(axis=0)) ** 2).sum())
+
+    x_mean, y_mean = x_train.mean(axis=0), y_train.mean(axis=0)
+    xc = x_train - x_mean
+    gram = xc.T @ xc
+    gram[np.diag_indices_from(gram)] += alpha
+    cross = (xc.T @ (y_train - y_mean))[:, keep]
+    z = x_test - x_mean
+    resid0 = (y_test - y_mean)[:, keep]
+    m, n_out = resid0.shape
+
     remaining = list(groups)
     selected: list[int] = []
-    selected_cols = np.empty(0, dtype=np.intp)
+    sel_cols = np.empty(0, dtype=np.intp)
+    chol = np.empty((0, 0))  # lower Cholesky factor of gram[S, S]
+    fwd = np.empty((0, n_out))  # chol^-1 cross[S]
     scores: list[float] = []
     while remaining:
-        best_id, best_score, best_cols = None, -np.inf, None
-        for block_id in remaining:
-            cols = np.concatenate([selected_cols, groups[block_id]])
-            try:
-                score = fit_score(x_train[:, cols], y_train, x_test[:, cols], y_test)
-            except Exception:
-                score = -np.inf
-            if score > best_score:
-                best_id, best_score, best_cols = block_id, score, cols
-        selected.append(best_id)
-        selected_cols = best_cols
-        scores.append(float(best_score))
-        remaining.remove(best_id)
+        s = len(sel_cols)
+        step_scores = np.empty(len(remaining))
+        border: dict[int, tuple] = {}
+        by_width: dict[int, list[int]] = {}
+        for i, block_id in enumerate(remaining):
+            by_width.setdefault(len(groups[block_id]), []).append(i)
+        for idx in by_width.values():
+            cand = np.stack([groups[remaining[i]] for i in idx])  # (k, c)
+            k, c = cand.shape
+            # P = L^-1 G[S, C] for every candidate at once: (s, k*c) -> (k, s, c)
+            p = scipy.linalg.solve_triangular(chol, gram[np.ix_(sel_cols, cand.ravel())], lower=True)
+            p = p.reshape(s, k, c).transpose(1, 0, 2)
+            pt = p.transpose(0, 2, 1)
+            chol_c = np.linalg.cholesky(gram[cand[:, :, None], cand[:, None, :]] - pt @ p)
+            fwd_c = np.linalg.solve(chol_c, cross[cand] - pt @ fwd)
+            w_c = np.linalg.solve(chol_c.transpose(0, 2, 1), fwd_c)  # (k, c, d)
+            # block back-substitution for the selected weights of each candidate
+            w_s = scipy.linalg.solve_triangular(
+                chol, (fwd - p @ w_c).transpose(1, 0, 2).reshape(s, k * n_out), lower=True, trans="T"
+            )
+            resid = (
+                resid0[:, None, :]
+                - (z[:, sel_cols] @ w_s).reshape(m, k, n_out)
+                - np.einsum("mkc,kcd->mkd", z[:, cand], w_c)
+            )
+            step_scores[idx] = 1.0 - np.einsum("mkd,mkd->k", resid, resid) / sst
+            for j, i in enumerate(idx):
+                border[i] = (p[j].T, chol_c[j], fwd_c[j])
+        # A block's entries of G depend in their last bits on where it sits in
+        # X (BLAS tiling), so scores within rounding of the best count as tied
+        # and go to the lowest block id, as exact ties do in a refit.
+        top = step_scores.max()
+        best = int(np.argmax(step_scores >= top - _TIE_TOL * max(1.0, abs(top))))
+        p_row, chol_b, fwd_b = border[best]
+        chol = np.block([[chol, np.zeros((s, len(chol_b)))], [p_row, chol_b]])
+        fwd = np.vstack([fwd, fwd_b])
+        block_id = remaining.pop(best)
+        selected.append(block_id)
+        sel_cols = np.concatenate([sel_cols, groups[block_id]])
+        scores.append(float(step_scores[best]))
     return SFBSResult(order=tuple(selected), scores=tuple(scores), block_ids=tuple(sorted(groups)))
 
 
+def _require_alpha(alpha: float) -> float:
+    """SFBS's Cholesky route needs ``Xc'Xc + alpha I`` positive definite."""
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise InvalidSpecError(f"alpha must be a finite number > 0, got {alpha!r}")
+    return alpha
+
+
 def ridge_scorer(alpha: float = 1.0):
-    """Plain ridge fit/score used as the cheap SFBS workhorse."""
+    """From-scratch ridge fit + ``r2_vw`` score of one column subset: the
+    reference that ``sfbs_select``'s scores are checked against."""
 
     def fit_score(x_tr, y_tr, x_te, y_te) -> float:
         model = fit_regressor("ridge", x_tr, y_tr, {"alpha": alpha})
@@ -403,7 +490,9 @@ def run_sfbs(
     """SFBS over the MLD-BFM blocks of a dataset: extract features, split,
     scale once (per-column, so column subsets stay consistent), then run the
     greedy selection with a fixed-alpha ridge scorer."""
-    cfg = config.replace(feature="mld-bfm", n_win=1)
+    t_start = time.perf_counter()
+    alpha = _require_alpha(alpha)
+    cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1)
     features, targets, info = featurize(cfg, tasks)
     train_chunks, test_chunks = split_chunks(features, targets, cfg.split_ratio)
     split = assemble_split(train_chunks, test_chunks, _seed_for(cfg.seed, _SEED_SPLIT))
@@ -413,9 +502,10 @@ def run_sfbs(
     x_test = scaler.transform_inputs(split.x_test)
     y_test = scaler.transform_outputs(split.y_test)
     groups = group_columns_by_block(features[0])
-    result = sfbs_select(x_train, y_train, x_test, y_test, groups, ridge_scorer(alpha))
+    result = sfbs_select(x_train, y_train, x_test, y_test, groups, alpha)
     block_plan: BlockPlan = info["_block_plan"]
     maps = contribution_map(result, block_plan)
+    n_blocks = len(groups)
     manifest = {
         "config": cfg.to_dict(),
         "alpha": alpha,
@@ -424,7 +514,12 @@ def run_sfbs(
             "window_plan": info.get("window_plan"),
             "block_plan": info.get("block_plan"),
             "n_tasks": info["n_tasks"],
+            "n_train_rows": int(x_train.shape[0]),
+            "n_test_rows": int(x_test.shape[0]),
+            "n_features": int(x_train.shape[1]),
+            "n_candidates": n_blocks * (n_blocks + 1) // 2,
         },
+        "wall_time_s": time.perf_counter() - t_start,
     }
     return result, maps, block_plan, manifest
 

@@ -270,7 +270,7 @@ def test_acceptance_8_sfbs_self_consistency_and_planted_block():
         tensor = FeatureTensor(np.concatenate(blocks, axis=1), tuple(columns))
         grp = group_columns_by_block(tensor)
         sel = sfbs_select(
-            tensor.values[:200], y[:200], tensor.values[200:], y[200:], grp, score
+            tensor.values[:200], y[:200], tensor.values[200:], y[200:], grp, alpha=1.0
         )
         hits += sel.order[0] == informative
     assert hits >= 9

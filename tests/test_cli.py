@@ -138,6 +138,10 @@ class TestExtract:
         assert rc == 1
         assert "task 1: fs" in capsys.readouterr().err
 
+    def test_no_dataset_exits_2(self, tmp_path, capsys):
+        assert main(["extract", "--out", str(tmp_path / "f")]) == 2
+        assert "extract requires --dataset" in capsys.readouterr().err
+
     def test_pca_rejected_for_extract(self, dataset):
         root, ds = dataset
         cfg = write_run_config(root)
@@ -189,6 +193,19 @@ class TestSfbs:
         assert len(cmap) == 1 + 128
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["centroids"]) == {"EDC", "FDS"}
+        assert manifest["config"]["model"] == "ridge"
+        stages = manifest["stages"]
+        assert stages["n_features"] == 18 * 3
+        assert stages["n_candidates"] == 18 * 19 // 2
+        assert stages["n_train_rows"] > 0 and stages["n_test_rows"] > 0
+        assert manifest["wall_time_s"] > 0
+
+    @pytest.mark.parametrize("flags", [["--alpha", "0"], ["--alpha", "-1"], ["--model", "mlp"]])
+    def test_bad_flag_exits_2(self, dataset, flags):
+        root, ds = dataset
+        cfg = write_run_config(root)
+        rc = main(["sfbs", "--dataset", str(ds), "--config", str(cfg), "--out", str(root / "bad"), *flags])
+        assert rc == 2
 
 
 class TestUsage:

@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emgdecode import (
     FeatureTensor,
     GridLayout,
+    InvalidInputError,
+    InvalidSpecError,
     PipelineError,
     RunConfig,
     SynthConfig,
@@ -24,6 +28,7 @@ from emgdecode import (
     r2_vw,
     rmse,
     run_pipeline,
+    run_sfbs,
     sfbs_select,
     sweep,
 )
@@ -277,7 +282,7 @@ class TestSfbs:
                 tensor.values[half:],
                 y[half:],
                 groups,
-                ridge_scorer(1.0),
+                alpha=1.0,
             )
             hits += result.order[0] == 4
         assert hits >= 9
@@ -287,7 +292,7 @@ class TestSfbs:
         groups = group_columns_by_block(tensor)
         half = y.shape[0] // 2
         result = sfbs_select(
-            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, ridge_scorer()
+            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, alpha=1.0
         )
         assert len(result.scores) == 10
         assert sorted(result.order) == list(range(10))
@@ -298,7 +303,7 @@ class TestSfbs:
         half = y.shape[0] // 2
         score = ridge_scorer(1.0)
         result = sfbs_select(
-            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, score
+            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, alpha=1.0
         )
         singles = [
             score(tensor.values[:half, cols], y[:half], tensor.values[half:, cols], y[half:])
@@ -312,12 +317,92 @@ class TestSfbs:
         half = y.shape[0] // 2
         score = ridge_scorer(1.0)
         result = sfbs_select(
-            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, score
+            tensor.values[:half], y[:half], tensor.values[half:], y[half:], groups, alpha=1.0
         )
         for step in (1, 3, 10):
             cols = np.concatenate([groups[b] for b in result.order[:step]])
             fresh = score(tensor.values[:half, cols], y[:half], tensor.values[half:, cols], y[half:])
             assert abs(fresh - result.scores[step - 1]) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        n_train=st.integers(3, 24),
+        n_test=st.integers(2, 12),
+        n_out=st.integers(2, 4),
+        alpha=st.sampled_from([1e-3, 0.5, 1.0, 10.0]),
+        duplicate=st.booleans(),
+        constant_output=st.booleans(),
+    )
+    @example(seed=1, widths=[4, 4, 4], n_train=5, n_test=6, n_out=3, alpha=1.0, duplicate=False, constant_output=False)
+    @example(seed=2, widths=[1, 3, 2, 4], n_train=20, n_test=8, n_out=2, alpha=0.5, duplicate=False, constant_output=False)
+    @example(seed=3, widths=[3, 2, 3], n_train=20, n_test=8, n_out=3, alpha=1.0, duplicate=True, constant_output=False)
+    @example(seed=4, widths=[3, 3], n_train=20, n_test=8, n_out=3, alpha=1.0, duplicate=False, constant_output=True)
+    @pytest.mark.filterwarnings("ignore:zero-variance output")
+    def test_gram_path_matches_from_scratch_greedy(
+        self, seed, widths, n_train, n_test, n_out, alpha, duplicate, constant_output
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_train + n_test, sum(widths)))
+        y = x[:, : widths[0]] @ rng.standard_normal((widths[0], n_out))
+        y += 0.3 * rng.standard_normal(y.shape)
+        bounds = np.cumsum([0, *widths])
+        groups = {b: np.arange(bounds[b], bounds[b + 1]) for b in range(len(widths))}
+        if duplicate:
+            # a copy of block 0 ties with it wherever both are candidates
+            x = np.hstack([x, x[:, groups[0]]])
+            groups[len(widths)] = np.arange(bounds[-1], x.shape[1])
+        if constant_output:
+            y[n_train:, -1] = 0.0
+        split = (x[:n_train], y[:n_train], x[n_train:], y[n_train:])
+        result = sfbs_select(*split, groups, alpha=alpha)
+        order, scores = greedy_from_scratch(*split, groups, ridge_scorer(alpha))
+        assert result.order == order
+        assert np.abs(np.array(result.scores) - scores).max() <= 1e-10
+        if duplicate:
+            assert result.order.index(0) < result.order.index(len(widths))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        tensor, y = planted_block_data(0, n_blocks=3, rows=40)
+        groups = group_columns_by_block(tensor)
+        with pytest.raises(InvalidSpecError, match="alpha"):
+            sfbs_select(tensor.values[:20], y[:20], tensor.values[20:], y[20:], groups, alpha=alpha)
+
+    def test_run_sfbs_rejects_alpha_before_extracting(self):
+        with pytest.raises(InvalidSpecError, match="alpha"):
+            run_sfbs(RunConfig(), tasks=iter(()), alpha=-1.0)
+
+    @pytest.mark.parametrize("defect", ["nan", "shared_columns", "constant_test_targets"])
+    def test_bad_input_rejected_up_front(self, defect):
+        tensor, y = planted_block_data(0, n_blocks=3, rows=40)
+        groups = group_columns_by_block(tensor)
+        x = tensor.values.copy()
+        if defect == "nan":
+            x[25, 4] = np.nan
+        elif defect == "shared_columns":
+            groups[1] = np.concatenate([groups[1], groups[0][:1]])
+        else:
+            y = y.copy()
+            y[20:] = 1.0
+        with pytest.raises(InvalidInputError):
+            sfbs_select(x[:20], y[:20], x[20:], y[20:], groups)
+
+
+def greedy_from_scratch(x_train, y_train, x_test, y_test, groups, score):
+    """Reference SFBS: refit ``score`` on every candidate at every step;
+    ties go to the first candidate in block-id order."""
+    remaining, order, scores = list(groups), [], []
+    cols = np.empty(0, dtype=np.intp)
+    while remaining:
+        trial = [np.concatenate([cols, groups[b]]) for b in remaining]
+        fits = [score(x_train[:, c], y_train, x_test[:, c], y_test) for c in trial]
+        best = int(np.argmax(fits))
+        order.append(remaining.pop(best))
+        cols = trial[best]
+        scores.append(fits[best])
+    return tuple(order), np.array(scores)
 
 
 class TestContributionMap:
