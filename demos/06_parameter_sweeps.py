@@ -12,7 +12,7 @@ tasks = generate_tasks(synth)
 config = RunConfig(seed=3, crop_s=(0.5, 7.5))
 
 for param, values in (("block_step", (1, 2, 3, 4)), ("n_win", (1, 2, 4, 8))):
-    table = sweep(param, config, lambda: iter(tasks), values=values)
+    table = sweep(param, config, tasks=tasks, values=values)
     print(f"\nsweep over {param}:")
     print("  value  r2_vw")
     for row in table.rows:

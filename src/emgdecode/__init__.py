@@ -68,7 +68,6 @@ from .regression import (
     MLPModel,
     RegressorSpec,
     ScalerPair,
-    SequencePlan,
     build_sequences,
     fit_knn,
     fit_lasso,

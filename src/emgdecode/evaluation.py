@@ -6,8 +6,8 @@ from __future__ import annotations
 import io as _io
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,6 @@ from .regression import (
     FittedRegressor,
     RegressorSpec,
     ScalerPair,
-    SequencePlan,
     build_sequences,
     fit_regressor,
     grid_search_cv,
@@ -70,7 +69,7 @@ def featurize(
     share task 0's ``fs``, grids and trajectory labels; a task that does not,
     or whose raw signal holds a non-finite value, raises an error naming it.
     ``info`` records task 0's window plan, block plan, ``pred_rate`` and
-    labels, and the number of tasks.
+    labels, the number of tasks, and every task's window count.
     """
     if tasks is None:
         if config.dataset is None:
@@ -118,6 +117,7 @@ def featurize(
     if not features:
         raise InvalidInputError("dataset contains no tasks")
     info["n_tasks"] = len(features)
+    info["n_windows"] = [tensor.n_windows for tensor in features]
     return features, targets, info
 
 
@@ -146,58 +146,26 @@ def _decompose_stage(
     return projected, info
 
 
-def _fit_eval(
-    config: RunConfig,
-    features: Sequence,
-    targets: Sequence,
-    labels: Sequence[str],
-    pred_rate: float,
-):
-    """Split, sequence, scale, grid-search fit, predict, reconstruct,
-    post-filter, and score. Features/targets are per-task row arrays."""
+def _scaled_split(config: RunConfig, features: Sequence, targets: Sequence):
+    """Per-task contiguous split, ``n_win`` sequences within each task, the
+    training rows assembled and permuted, and a scaler fit on them.
+
+    Returns the raw split, the split with inputs and outputs scaled, and the
+    scaler."""
     train_chunks, test_chunks = split_chunks(features, targets, config.split_ratio)
-    n_feat = train_chunks[0][0].shape[1]
-    n_out = train_chunks[0][1].shape[1]
-    seq_plan = SequencePlan(n_win=config.n_win, n_feat=n_feat, n_out=n_out)
     if config.n_win > 1:
-        train_chunks = [build_sequences(x, y, seq_plan) for x, y in train_chunks]
-        test_chunks = [build_sequences(x, y, seq_plan) for x, y in test_chunks]
+        train_chunks = [build_sequences(x, y, config.n_win) for x, y in train_chunks]
+        test_chunks = [build_sequences(x, y, config.n_win) for x, y in test_chunks]
     split = assemble_split(train_chunks, test_chunks, _seed_for(config.seed, _SEED_SPLIT))
-
     scaler = ScalerPair.fit(split.x_train, split.y_train)
-    x_train = scaler.transform_inputs(split.x_train)
-    y_train = scaler.transform_outputs(split.y_train)
-    x_test = scaler.transform_inputs(split.x_test)
-
-    spec = RegressorSpec(kind=config.model, grid=config.grid, seed=_seed_for(config.seed, _SEED_MODEL))
-    fitted = grid_search_cv(spec, x_train, y_train)
-
-    pred_scaled = fitted.predict(x_test)
-    pred = scaler.inverse_outputs(pred_scaled)
-
-    # reconstruct + post-filter per contiguous task chunk
-    y_true_parts, y_pred_parts = [], []
-    bypassed = True
-    offset = 0
-    for size, (_, y_chunk) in zip(split.test_chunk_sizes, test_chunks):
-        chunk_pred = reconstruct_series(pred[offset : offset + size], seq_plan)
-        chunk_true = reconstruct_series(y_chunk, seq_plan)
-        chunk_pred, bypassed = postprocess(chunk_pred, pred_rate, cutoff_hz=config.postfilter_hz)
-        y_true_parts.append(chunk_true)
-        y_pred_parts.append(chunk_pred)
-        offset += size
-    y_true = np.concatenate(y_true_parts, axis=0)
-    y_pred = np.concatenate(y_pred_parts, axis=0)
-    report = compute_metrics(y_true, y_pred, labels)
-    extra = {
-        "hyperparams": fitted.hyperparams,
-        "cv_mean_scores": list(fitted.mean_scores),
-        "n_train_rows": int(split.x_train.shape[0]),
-        "n_test_rows": int(split.x_test.shape[0]),
-        "n_features": int(n_feat * config.n_win),
-        "postfilter_bypassed": bypassed,
-    }
-    return report, fitted, y_true, y_pred, extra
+    scaled = replace(
+        split,
+        x_train=scaler.transform_inputs(split.x_train),
+        y_train=scaler.transform_outputs(split.y_train),
+        x_test=scaler.transform_inputs(split.x_test),
+        y_test=scaler.transform_outputs(split.y_test),
+    )
+    return split, scaled, scaler
 
 
 def decode_features(
@@ -207,20 +175,48 @@ def decode_features(
     labels: Sequence[str] = None,
     pred_rate: float = 10.0,
 ) -> PipelineResult:
-    """Run the modeling half of the pipeline on pre-extracted per-task
-    features (useful for oracle checks that bypass signal processing)."""
+    """The model stage of ``run_pipeline``, on per-task feature and target
+    rows: split, sequence, scale, grid-search fit, predict, reconstruct,
+    post-filter each task's test rows at ``pred_rate``, and score. Called
+    directly it serves oracle checks that bypass signal processing."""
+    split, scaled, scaler = _scaled_split(config, features, targets)
+    n_out = split.y_test.shape[1] // config.n_win
     if labels is None:
-        n_out = np.asarray(getattr(targets[0], "values", targets[0])).shape[1]
         labels = tuple(f"out{d}" for d in range(n_out))
-    report, fitted, y_true, y_pred, extra = _fit_eval(config, features, targets, labels, pred_rate)
-    manifest = {"config": config.to_dict(), "stages": extra}
+    spec = RegressorSpec(kind=config.model, grid=config.grid, seed=_seed_for(config.seed, _SEED_MODEL))
+    fitted = grid_search_cv(spec, scaled.x_train, scaled.y_train)
+    pred = reconstruct_series(scaler.inverse_outputs(fitted.predict(scaled.x_test)), n_out)
+    y_true = reconstruct_series(split.y_test, n_out)
+    y_pred_parts, bypassed = [], True
+    for chunk in np.split(pred, np.cumsum(split.test_chunk_sizes)[:-1]):
+        chunk, bypassed = postprocess(chunk, pred_rate, cutoff_hz=config.postfilter_hz)
+        y_pred_parts.append(chunk)
+    y_pred = np.concatenate(y_pred_parts, axis=0)
+    report = compute_metrics(y_true, y_pred, labels)
+    manifest = {
+        "config": config.to_dict(),
+        "versions": _versions(),
+        "stages": {
+            "hyperparams": fitted.hyperparams,
+            "cv_mean_scores": list(fitted.mean_scores),
+            "n_train_rows": int(split.x_train.shape[0]),
+            "n_test_rows": int(split.x_test.shape[0]),
+            "n_features": int(split.x_train.shape[1]),
+            "postfilter_bypassed": bypassed,
+        },
+        "metrics": report.to_dict(),
+    }
     return PipelineResult(metrics=report, manifest=manifest, model=fitted, y_true=y_true, y_pred=y_pred)
 
 
+def _featurize_stages(info: dict) -> dict:
+    """The manifest entries of ``featurize``'s ``info``."""
+    return {key: info.get(key) for key in ("window_plan", "block_plan", "n_tasks", "n_windows", "pred_rate")}
+
+
 def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineResult:
-    """Full decode: filter, crop, featurize, resample targets, split,
-    sequence, scale, grid-search fit, predict, reconstruct, post-filter,
-    and score. Emits a manifest capturing every parameter of the run.
+    """Full decode: ``featurize``, PCA/NMF for those features, then
+    ``decode_features``. The manifest captures every parameter of the run.
 
     ``tasks`` is an iterable of (SignalMatrix, Trajectory); when omitted the
     dataset directory named in the config is loaded lazily.
@@ -241,36 +237,19 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
             raise PipelineError("decompose", str(exc)) from exc
 
     try:
-        report, fitted, y_true, y_pred, extra = _fit_eval(
-            config, features, targets, info["labels"], info["pred_rate"]
-        )
+        result = decode_features(config, features, targets, info["labels"], info["pred_rate"])
     except Exception as exc:
         raise PipelineError("model", str(exc)) from exc
-
-    manifest = {
-        "config": config.to_dict(),
-        "versions": _versions(),
-        "stages": {
-            "window_plan": info.get("window_plan"),
-            "block_plan": info.get("block_plan"),
-            "n_tasks": info["n_tasks"],
-            "pred_rate": info["pred_rate"],
-            **decomp_info,
-            **extra,
-        },
-        "metrics": report.to_dict(),
-        "wall_time_s": time.perf_counter() - t_start,
-    }
-    return PipelineResult(metrics=report, manifest=manifest, model=fitted, y_true=y_true, y_pred=y_pred)
+    manifest = result.manifest
+    manifest["stages"] = {**_featurize_stages(info), **decomp_info, **manifest["stages"]}
+    manifest["wall_time_s"] = time.perf_counter() - t_start
+    return result
 
 
 def _versions() -> dict:
-    import numpy
-    import scipy
-
     from . import __version__
 
-    return {"emgdecode": __version__, "numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {"emgdecode": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +279,26 @@ def _csv_cell(value) -> str:
 def sweep(
     param: str,
     config: RunConfig,
-    tasks_factory: Callable[[], Iterable] | None = None,
+    tasks: Iterable | None = None,
     values: Sequence | None = None,
 ) -> SweepTable:
     """One pipeline run per value of a single parameter, everything else
     fixed at the control settings. A failing cell is recorded, not fatal.
 
-    ``tasks_factory`` supplies a fresh task iterable per cell; when omitted
-    the config's dataset directory is re-read for each cell.
+    ``tasks``, read once into a list, are the (SignalMatrix, Trajectory)
+    pairs of every cell; when omitted the config's dataset is re-read per cell.
     """
     if param not in SWEEP_RANGES:
         raise InvalidSpecError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_RANGES)}")
     sweep_values = tuple(values) if values is not None else SWEEP_RANGES[param]
     field = SWEEP_FIELDS[param]
+    tasks = None if tasks is None else list(tasks)
     header = ("param", "value", "status", "r2_vw", "rmse_vw", "mae_vw", "r_vw")
     rows = []
     for value in sweep_values:
         cfg = config.replace(**{field: value})
         try:
-            result = run_pipeline(cfg, tasks_factory() if tasks_factory is not None else None)
+            result = run_pipeline(cfg, tasks)
             m = result.metrics
             rows.append((param, value, "ok", m.r2_vw, m.rmse_vw, m.mae_vw, m.r_vw))
         except Exception as exc:
@@ -338,10 +318,6 @@ class SFBSResult:
     order: tuple[int, ...]
     scores: tuple[float, ...]
     block_ids: tuple[int, ...]
-
-    @property
-    def selected_sizes(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.order) + 1))
 
 
 def group_columns_by_block(tensor: FeatureTensor) -> dict[int, np.ndarray]:
@@ -494,15 +470,9 @@ def run_sfbs(
     alpha = _require_alpha(alpha)
     cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1)
     features, targets, info = featurize(cfg, tasks)
-    train_chunks, test_chunks = split_chunks(features, targets, cfg.split_ratio)
-    split = assemble_split(train_chunks, test_chunks, _seed_for(cfg.seed, _SEED_SPLIT))
-    scaler = ScalerPair.fit(split.x_train, split.y_train)
-    x_train = scaler.transform_inputs(split.x_train)
-    y_train = scaler.transform_outputs(split.y_train)
-    x_test = scaler.transform_inputs(split.x_test)
-    y_test = scaler.transform_outputs(split.y_test)
+    _, split, _ = _scaled_split(cfg, features, targets)
     groups = group_columns_by_block(features[0])
-    result = sfbs_select(x_train, y_train, x_test, y_test, groups, alpha)
+    result = sfbs_select(split.x_train, split.y_train, split.x_test, split.y_test, groups, alpha)
     block_plan: BlockPlan = info["_block_plan"]
     maps = contribution_map(result, block_plan)
     n_blocks = len(groups)
@@ -511,12 +481,10 @@ def run_sfbs(
         "alpha": alpha,
         "versions": _versions(),
         "stages": {
-            "window_plan": info.get("window_plan"),
-            "block_plan": info.get("block_plan"),
-            "n_tasks": info["n_tasks"],
-            "n_train_rows": int(x_train.shape[0]),
-            "n_test_rows": int(x_test.shape[0]),
-            "n_features": int(x_train.shape[1]),
+            **_featurize_stages(info),
+            "n_train_rows": int(split.x_train.shape[0]),
+            "n_test_rows": int(split.x_test.shape[0]),
+            "n_features": int(split.x_train.shape[1]),
             "n_candidates": n_blocks * (n_blocks + 1) // 2,
         },
         "wall_time_s": time.perf_counter() - t_start,

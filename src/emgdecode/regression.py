@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    EmgDecodeError,
     InvalidInputError,
     InvalidSpecError,
     TrainingDivergedError,
@@ -62,46 +63,29 @@ class ScalerPair:
         return np.asarray(Y, dtype=np.float64) * self.out_std + self.out_mean
 
 
-@dataclass(frozen=True)
-class SequencePlan:
+def build_sequences(features, targets, n_win: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding sequences of ``n_win`` consecutive feature/target rows,
-    flattened time-major; the window advances by one row."""
-
-    n_win: int
-    n_feat: int
-    n_out: int
-
-    def __post_init__(self):
-        if self.n_win < 1:
-            raise InvalidSpecError("n_win must be >= 1")
-
-
-def build_sequences(features, targets, plan: SequencePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding-window sequences (stride 1). Must be applied to contiguous
-    rows BEFORE any shuffling; row count shrinks to rows - n_win + 1."""
+    flattened time-major (stride 1). Must be applied to contiguous rows
+    BEFORE any shuffling; row count shrinks to rows - n_win + 1."""
     X = np.asarray(getattr(features, "values", features), dtype=np.float64)
     Y = np.asarray(getattr(targets, "values", targets), dtype=np.float64)
     if X.shape[0] != Y.shape[0]:
         raise InvalidInputError("features and targets must be row-aligned")
-    if X.shape[0] < plan.n_win:
-        raise InvalidInputError(
-            f"need at least n_win={plan.n_win} rows, got {X.shape[0]}"
-        )
-    if plan.n_win == 1:
-        return X.copy(), Y.copy()
-    n = X.shape[0] - plan.n_win + 1
-    xv = np.lib.stride_tricks.sliding_window_view(X, plan.n_win, axis=0)
-    yv = np.lib.stride_tricks.sliding_window_view(Y, plan.n_win, axis=0)
-    x_seq = xv.transpose(0, 2, 1).reshape(n, plan.n_win * X.shape[1])
-    y_seq = yv.transpose(0, 2, 1).reshape(n, plan.n_win * Y.shape[1])
+    if not 1 <= n_win <= X.shape[0]:
+        raise InvalidInputError(f"n_win={n_win} must lie in [1, {X.shape[0]}] rows")
+    n = X.shape[0] - n_win + 1
+    xv = np.lib.stride_tricks.sliding_window_view(X, n_win, axis=0)
+    yv = np.lib.stride_tricks.sliding_window_view(Y, n_win, axis=0)
+    x_seq = xv.transpose(0, 2, 1).reshape(n, n_win * X.shape[1])
+    y_seq = yv.transpose(0, 2, 1).reshape(n, n_win * Y.shape[1])
     return np.ascontiguousarray(x_seq), np.ascontiguousarray(y_seq)
 
 
-def reconstruct_series(pred_seq, plan: SequencePlan) -> np.ndarray:
+def reconstruct_series(pred_seq, n_out: int) -> np.ndarray:
     """Time series from sequence predictions: the last ``n_out`` entries of
     each prediction row, in sequence order."""
     P = np.asarray(pred_seq, dtype=np.float64)
-    return P[:, -plan.n_out :].copy()
+    return P[:, -n_out:].copy()
 
 
 @dataclass(frozen=True)
@@ -129,6 +113,7 @@ def fit_ridge(X, Y, alpha: float) -> LinearModel:
 
     The shared (pooled) output scaler leaves per-output mean offsets in
     place, so the intercept cannot come from scaling alone."""
+    _check_alpha("ridge", alpha)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
@@ -147,6 +132,12 @@ def fit_ridge(X, Y, alpha: float) -> LinearModel:
     return LinearModel(kind="ridge", weights=W, intercept=y_mean - x_mean @ W, alpha=float(alpha))
 
 
+def _check_alpha(kind: str, alpha: float) -> None:
+    """alpha = 0 is least squares; a negative or non-finite one has no fit."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise InvalidSpecError(f"{kind} alpha must be a finite number >= 0, got {alpha!r}")
+
+
 def _soft(x: float, lam: float) -> float:
     return math.copysign(max(abs(x) - lam, 0.0), x)
 
@@ -160,6 +151,7 @@ def fit_lasso(X, Y, alpha: float, max_iter: int = 10000, tol: float = 1e-3) -> L
     sizes. Stops when the largest coefficient update in a sweep drops below
     tol * max|w|.
     """
+    _check_alpha("lasso", alpha)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
@@ -474,9 +466,10 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
     cross-validation on the (pre-shuffled) training rows; variance-weighted
     R^2 is the selection criterion and the winner is refit on all rows.
 
-    A grid point whose fit fails scores -inf; ties go to the first-listed
-    point. Per-fit seeds are derived from the spec seed so results do not
-    depend on evaluation order.
+    A grid point whose fit fails with an ``EmgDecodeError`` (an impossible
+    KNN ``k``, a diverged MLP) scores -inf; any other exception propagates.
+    Ties go to the first-listed point. Per-fit seeds are derived from the
+    spec seed so results do not depend on evaluation order.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -498,7 +491,7 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
                 seed = _derived_seed(spec.seed, gi, fi)
                 model = fit_regressor(spec.kind, X[mask], Y[mask], hyper, seed=seed)
                 scores.append(r2_vw(Y[slc], model.predict(X[slc])))
-            except Exception:
+            except EmgDecodeError:
                 scores.append(-math.inf)
         all_fold_scores.append(tuple(scores))
         mean_scores.append(float(np.mean(scores)))

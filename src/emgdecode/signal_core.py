@@ -150,7 +150,6 @@ class FilterSpec:
     order: int = 4
     band: tuple[float, float] | float = 0.0
     q: float | None = None
-    zero_phase: bool = True
 
     def __post_init__(self):
         if self.kind not in ("bandpass", "notch", "lowpass"):

@@ -199,13 +199,12 @@ def test_acceptance_6_feature_ordering_across_seeds():
 
 
 def test_acceptance_7_sensitivity_harness(sweep_tasks):
-    factory = lambda: iter(sweep_tasks)  # noqa: E731
-    baseline = run_pipeline(SWEEP_RUN, factory())
+    baseline = run_pipeline(SWEEP_RUN, sweep_tasks)
     tables = {
-        "block_size": sweep("block_size", SWEEP_RUN, factory),
-        "block_step": sweep("block_step", SWEEP_RUN, factory),
-        "window": sweep("window", SWEEP_RUN, factory),
-        "n_win": sweep("n_win", SWEEP_RUN, factory),
+        "block_size": sweep("block_size", SWEEP_RUN, tasks=sweep_tasks),
+        "block_step": sweep("block_step", SWEEP_RUN, tasks=sweep_tasks),
+        "window": sweep("window", SWEEP_RUN, tasks=sweep_tasks),
+        "n_win": sweep("n_win", SWEEP_RUN, tasks=sweep_tasks),
     }
     assert [r[1] for r in tables["block_size"].rows] == list(range(1, 9))
     assert [r[1] for r in tables["block_step"].rows] == list(range(1, 7))
@@ -219,7 +218,7 @@ def test_acceptance_7_sensitivity_harness(sweep_tasks):
     assert tables["window"].rows[1][3] == baseline.metrics.r2_vw  # 0.150 s
     assert tables["n_win"].rows[0][3] == baseline.metrics.r2_vw
     # deterministic CSV bytes on a rerun
-    again = sweep("block_step", SWEEP_RUN, factory)
+    again = sweep("block_step", SWEEP_RUN, tasks=sweep_tasks)
     assert again.to_csv() == tables["block_step"].to_csv()
     passline(7, "block-size/step/window/n_win sweeps complete; control cells equal baseline; CSV deterministic")
 
@@ -233,18 +232,11 @@ def test_acceptance_8_sfbs_self_consistency_and_planted_block():
     assert sorted(result.order) == list(range(98))
     # recompute a sample of steps from scratch on the first-n selected blocks
     cfg = DEFAULT_RUN.replace(feature="mld-bfm", n_win=1)
-    from emgdecode.evaluation import featurize, _seed_for, _SEED_SPLIT
-    from emgdecode.regression import ScalerPair
-    from emgdecode.signal_core import assemble_split, split_chunks
+    from emgdecode.evaluation import _scaled_split, featurize
 
     features, targets, _ = featurize(cfg, iter_tasks(DEFAULT_SYNTH))
-    train_chunks, test_chunks = split_chunks(features, targets, cfg.split_ratio)
-    split = assemble_split(train_chunks, test_chunks, _seed_for(cfg.seed, _SEED_SPLIT))
-    scaler = ScalerPair.fit(split.x_train, split.y_train)
-    x_train = scaler.transform_inputs(split.x_train)
-    y_train = scaler.transform_outputs(split.y_train)
-    x_test = scaler.transform_inputs(split.x_test)
-    y_test = scaler.transform_outputs(split.y_test)
+    _, split, _ = _scaled_split(cfg, features, targets)
+    x_train, y_train, x_test, y_test = split.x_train, split.y_train, split.x_test, split.y_test
     groups = group_columns_by_block(features[0])
     score = ridge_scorer(1.0)
     for step in (1, 2, 5, 20, 98):

@@ -24,6 +24,7 @@ from emgdecode import (
     mae,
     pearson,
     plan_blocks,
+    plan_windows_seconds,
     r2_pred,
     r2_vw,
     rmse,
@@ -32,7 +33,7 @@ from emgdecode import (
     sfbs_select,
     sweep,
 )
-from emgdecode.evaluation import SFBSResult, ridge_scorer, _fit_eval
+from emgdecode.evaluation import SFBSResult, featurize, ridge_scorer
 from emgdecode.signal_core import assemble_split, split_chunks
 
 
@@ -175,6 +176,27 @@ class TestPipeline:
         b = run_pipeline(small_config, iter(small_tasks))
         assert a.metrics.r2_vw == b.metrics.r2_vw
 
+    @pytest.mark.parametrize("n_win", [1, 3])
+    def test_run_pipeline_ends_in_decode_features(self, small_tasks, small_config, n_win):
+        config = small_config.replace(n_win=n_win)
+        full = run_pipeline(config, small_tasks)
+        features, targets, info = featurize(config, small_tasks)
+        model_stage = decode_features(config, features, targets, info["labels"], info["pred_rate"])
+        assert full.metrics.r2_vw == model_stage.metrics.r2_vw
+        assert full.y_pred.tobytes() == model_stage.y_pred.tobytes()
+        assert full.manifest["stages"]["hyperparams"] == model_stage.manifest["stages"]["hyperparams"]
+        assert model_stage.manifest.keys() == {"config", "versions", "stages", "metrics"}
+
+    def test_window_count_of_every_task_recorded(self):
+        short = generate_tasks(SynthConfig(seed=5, duration_s=2.0, tasks=((1,),)))[0]
+        long = generate_tasks(SynthConfig(seed=5, duration_s=3.0, tasks=((2,),)))[0]
+        config = RunConfig(crop_s=None, seed=0, block_step=3)
+        counts = [plan_windows_seconds(x.n_samples, x.fs, 0.150, 0.050).count for x, _ in (short, long)]
+        assert counts[0] < counts[1]
+        assert featurize(config, [short, long])[2]["n_windows"] == counts
+        assert run_pipeline(config, [short, long]).manifest["stages"]["n_windows"] == counts
+        assert run_sfbs(config, [short, long])[3]["stages"]["n_windows"] == counts
+
     def test_stage_errors_are_tagged(self, small_tasks):
         from emgdecode import PipelineError
 
@@ -220,34 +242,34 @@ class TestCrossTaskChecks:
 @pytest.fixture(scope="module")
 def sweep_setup(small_tasks):
     config = RunConfig(crop_s=(0.5, 7.5), seed=3)
-    return config, lambda: iter(small_tasks)
+    return config, small_tasks
 
 
 class TestSweep:
 
     def test_block_size_sweep_rows(self, sweep_setup):
-        config, factory = sweep_setup
-        table = sweep("block_size", config, factory, values=(1, 2, 3))
+        config, tasks = sweep_setup
+        table = sweep("block_size", config, tasks=tasks, values=(1, 2, 3))
         assert [row[1] for row in table.rows] == [1, 2, 3]
         assert all(row[2] == "ok" for row in table.rows)
 
     def test_control_value_reproduces_baseline(self, sweep_setup):
-        config, factory = sweep_setup
-        baseline = run_pipeline(config, factory())
-        table = sweep("block_size", config, factory, values=(2,))
+        config, tasks = sweep_setup
+        baseline = run_pipeline(config, tasks)
+        table = sweep("block_size", config, tasks=tasks, values=(2,))
         assert table.rows[0][3] == baseline.metrics.r2_vw
 
     def test_sweep_csv_deterministic(self, sweep_setup):
-        config, factory = sweep_setup
-        a = sweep("n_win", config, factory, values=(1, 2)).to_csv()
-        b = sweep("n_win", config, factory, values=(1, 2)).to_csv()
+        config, tasks = sweep_setup
+        a = sweep("n_win", config, tasks=tasks, values=(1, 2)).to_csv()
+        b = sweep("n_win", config, tasks=iter(tasks), values=(1, 2)).to_csv()
         assert a == b
         assert a.startswith("param,value,status,r2_vw,rmse_vw,mae_vw,r_vw\n")
 
     def test_failed_cell_recorded_not_fatal(self, sweep_setup):
-        config, factory = sweep_setup
+        config, tasks = sweep_setup
         # a 9 s window cannot fit the 7 s cropped tasks -> that cell fails
-        table = sweep("window", config, factory, values=(0.15, 9.0))
+        table = sweep("window", config, tasks=tasks, values=(0.15, 9.0))
         assert table.rows[0][2] == "ok"
         assert table.rows[1][2].startswith("failed")
 

@@ -11,7 +11,6 @@ from emgdecode import (
     InvalidSpecError,
     RegressorSpec,
     ScalerPair,
-    SequencePlan,
     build_sequences,
     fit_knn,
     fit_lasso,
@@ -56,17 +55,15 @@ class TestSequences:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((10, 3))
         Y = rng.standard_normal((10, 2))
-        plan = SequencePlan(1, 3, 2)
-        xs, ys = build_sequences(X, Y, plan)
+        xs, ys = build_sequences(X, Y, 1)
         assert np.array_equal(xs, X)
         assert np.array_equal(ys, Y)
-        assert np.array_equal(reconstruct_series(ys, plan), Y)
+        assert np.array_equal(reconstruct_series(ys, 2), Y)
 
     def test_three_row_windows(self):
         X = np.arange(20.0).reshape(10, 2)
         Y = np.arange(10.0)[:, None]
-        plan = SequencePlan(3, 2, 1)
-        xs, ys = build_sequences(X, Y, plan)
+        xs, ys = build_sequences(X, Y, 3)
         assert xs.shape == (8, 6)
         assert np.array_equal(xs[0], X[:3].ravel())  # rows 0-2 flattened time-major
         assert np.array_equal(ys[0], np.array([0.0, 1.0, 2.0]))
@@ -74,18 +71,18 @@ class TestSequences:
     def test_round_trip_recovers_target_tail(self):
         rng = np.random.default_rng(3)
         Y = rng.standard_normal((25, 4))
-        plan = SequencePlan(5, 1, 4)
-        _, ys = build_sequences(np.zeros((25, 1)), Y, plan)
-        assert np.array_equal(reconstruct_series(ys, plan), Y[4:])
+        _, ys = build_sequences(np.zeros((25, 1)), Y, 5)
+        assert np.array_equal(reconstruct_series(ys, 4), Y[4:])
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_sequences(np.zeros((2, 1)), np.zeros((2, 1)), SequencePlan(3, 1, 1))
+            build_sequences(np.zeros((2, 1)), np.zeros((2, 1)), 3)
+        with pytest.raises(InvalidInputError):
+            build_sequences(np.zeros((2, 1)), np.zeros((2, 1)), 0)
 
     def test_constant_predictions_reconstruct_constant(self):
-        plan = SequencePlan(4, 1, 2)
         pred = np.tile(np.arange(8.0), (6, 1))
-        out = reconstruct_series(pred, plan)
+        out = reconstruct_series(pred, 2)
         assert np.array_equal(out, np.tile([6.0, 7.0], (6, 1)))
 
 
@@ -163,6 +160,16 @@ class TestLasso:
         w_ls = (X.T @ Y) / X.shape[0]
         expected = np.sign(w_ls) * np.maximum(np.abs(w_ls) - alpha, 0.0)
         assert np.abs(model.weights - expected).max() <= 1e-6
+
+
+@pytest.mark.parametrize("fit", [fit_ridge, fit_lasso])
+@pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+def test_negative_or_non_finite_alpha_rejected(fit, alpha):
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((20, 30))
+    Y = rng.standard_normal((20, 2))
+    with pytest.raises(InvalidSpecError, match="alpha"):
+        fit(X, Y, alpha)
 
 
 class TestKnn:
@@ -291,6 +298,15 @@ class TestGridSearch:
         fitted = grid_search_cv(spec, X, Y)
         assert fitted.hyperparams["k"] == 10
         assert fitted.mean_scores[0] == -math.inf
+
+    def test_untyped_fit_error_reaches_caller(self):
+        # a string alpha, as a hand-written JSON grid can hold, is a caller
+        # bug, not a failed grid point
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 3))
+        Y = rng.standard_normal((40, 2))
+        with pytest.raises(TypeError):
+            grid_search_cv(RegressorSpec("ridge", grid={"alpha": ["0.1"]}, seed=0), X, Y)
 
     def test_table_one_grids(self):
         assert DEFAULT_GRIDS["ridge"]["alpha"] == [0.001, 0.01, 0.1, 1.0, 10.0]
