@@ -28,6 +28,7 @@ from .regression import (
     grid_search_cv,
     postprocess,
     reconstruct_series,
+    ridge_residual,
 )
 from .signal_core import (
     FilterSpec,
@@ -352,8 +353,9 @@ def sfbs_select(
     The fits run in Gram space: ``G = Xc'Xc + alpha I`` and ``Xc'Yc`` are
     formed once, the Cholesky factor ``L`` of the selected block of ``G`` is
     kept, and each step scores all candidates of one width together through a
-    batch of c x c Schur complements. The chosen candidate borders ``L``.
-    Scores equal ``ridge_scorer(alpha)`` refits up to rounding.
+    batch of c x c Schur complements. The chosen candidate borders ``L``, and
+    its recorded score comes from weights given one correction against the
+    train residual. Scores equal ``ridge_scorer(alpha)`` refits up to rounding.
     """
     alpha = _require_alpha(alpha)
     x_train, x_test = np.asarray(x_train, dtype=np.float64), np.asarray(x_test, dtype=np.float64)
@@ -384,7 +386,8 @@ def sfbs_select(
     xc = x_train - x_mean
     gram = xc.T @ xc
     gram[np.diag_indices_from(gram)] += alpha
-    cross = (xc.T @ (y_train - y_mean))[:, keep]
+    yc = (y_train - y_mean)[:, keep]
+    cross = xc.T @ yc
     z = x_test - x_mean
     resid0 = (y_test - y_mean)[:, keep]
     m, n_out = resid0.shape
@@ -422,20 +425,27 @@ def sfbs_select(
                 - np.einsum("mkc,kcd->mkd", z[:, cand], w_c)
             )
             step_scores[idx] = 1.0 - np.einsum("mkd,mkd->k", resid, resid) / sst
+            w_s = w_s.reshape(s, k, n_out)
             for j, i in enumerate(idx):
-                border[i] = (p[j].T, chol_c[j], fwd_c[j])
+                border[i] = (p[j].T, chol_c[j], fwd_c[j], np.vstack([w_s[:, j], w_c[j]]))
         # A block's entries of G depend in their last bits on where it sits in
         # X (BLAS tiling), so scores within rounding of the best count as tied
         # and go to the lowest block id, as exact ties do in a refit.
         top = step_scores.max()
         best = int(np.argmax(step_scores >= top - _TIE_TOL * max(1.0, abs(top))))
-        p_row, chol_b, fwd_b = border[best]
+        p_row, chol_b, fwd_b, w = border[best]
         chol = np.block([[chol, np.zeros((s, len(chol_b)))], [p_row, chol_b]])
         fwd = np.vstack([fwd, fwd_b])
         block_id = remaining.pop(best)
         selected.append(block_id)
         sel_cols = np.concatenate([sel_cols, groups[block_id]])
-        scores.append(float(step_scores[best]))
+        # the winner's score is recorded from weights corrected once against
+        # the train residual, as fit_ridge does, which removes the Gram
+        # route's kappa(G) * eps error on ill-conditioned steps
+        xs = xc[:, sel_cols]
+        w = w + scipy.linalg.cho_solve((chol, True), ridge_residual(xs, yc, w, alpha))
+        resid = resid0 - z[:, sel_cols] @ w
+        scores.append(1.0 - float((resid * resid).sum()) / sst)
     return SFBSResult(order=tuple(selected), scores=tuple(scores), block_ids=tuple(sorted(groups)))
 
 

@@ -123,13 +123,25 @@ def fit_ridge(X, Y, alpha: float) -> LinearModel:
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
+    Yc = Y - y_mean
     gram = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    rhs = Xc.T @ (Y - y_mean)
+    rhs = Xc.T @ Yc
     try:
-        W = scipy.linalg.solve(gram, rhs, assume_a="pos")
+        factor = scipy.linalg.cho_factor(gram, lower=True)
+        W = scipy.linalg.cho_solve(factor, rhs)
+        W += scipy.linalg.cho_solve(factor, ridge_residual(Xc, Yc, W, alpha))
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
         W = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     return LinearModel(kind="ridge", weights=W, intercept=y_mean - x_mean @ W, alpha=float(alpha))
+
+
+def ridge_residual(Xc: np.ndarray, Yc: np.ndarray, W: np.ndarray, alpha: float) -> np.ndarray:
+    """``Xc'(Yc - Xc W) - alpha W``, formed from the data rather than from
+    ``Xc'Xc``. A solution from the Gram matrix carries kappa(Gram) * eps
+    relative error; one solve against this residual (corrected seminormal
+    equations) brings it to the rounding level of a QR least-squares fit,
+    which is what a small alpha on few rows needs."""
+    return Xc.T @ (Yc - Xc @ W) - alpha * W
 
 
 def _check_alpha(kind: str, alpha: float) -> None:

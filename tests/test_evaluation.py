@@ -361,6 +361,8 @@ class TestSfbs:
     @example(seed=2, widths=[1, 3, 2, 4], n_train=20, n_test=8, n_out=2, alpha=0.5, duplicate=False, constant_output=False)
     @example(seed=3, widths=[3, 2, 3], n_train=20, n_test=8, n_out=3, alpha=1.0, duplicate=True, constant_output=False)
     @example(seed=4, widths=[3, 3], n_train=20, n_test=8, n_out=3, alpha=1.0, duplicate=False, constant_output=True)
+    # three train rows, alpha 1e-3 and scores near -300: a Gram solve alone is off by ~4e-10
+    @example(seed=2_252_941_623, widths=[3, 1, 1, 3, 4, 4], n_train=3, n_test=2, n_out=2, alpha=1e-3, duplicate=False, constant_output=False)
     @pytest.mark.filterwarnings("ignore:zero-variance output")
     def test_gram_path_matches_from_scratch_greedy(
         self, seed, widths, n_train, n_test, n_out, alpha, duplicate, constant_output

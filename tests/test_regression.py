@@ -110,6 +110,18 @@ class TestRidge:
         rel = np.abs(model.weights - W_true).max() / np.abs(W_true).max()
         assert rel <= 1e-4
 
+    def test_few_rows_small_alpha_matches_qr_solution(self):
+        # kappa(X'X + alpha I) ~ 1e8: a plain Gram solve is off by ~1e-9
+        rng = np.random.default_rng(0)
+        X = 10.0 * rng.standard_normal((4, 20))
+        Y = rng.standard_normal((4, 3))
+        Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+        aug_x = np.vstack([Xc, np.sqrt(1e-4) * np.eye(20)])
+        aug_y = np.vstack([Yc, np.zeros((20, 3))])
+        W_qr = np.linalg.lstsq(aug_x, aug_y, rcond=None)[0]
+        model = fit_ridge(X, Y, alpha=1e-4)
+        assert np.abs(model.weights - W_qr).max() <= 1e-10 * np.abs(W_qr).max()
+
     def test_output_scale_equivariance(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((80, 6))
