@@ -141,12 +141,15 @@ _MU_EPS = 1e-12
 
 def _nmf_factorize(
     A: np.ndarray, n_comp: int, seed: int, max_iter: int = 500, rel_tol: float = 1e-4
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
     """Multiplicative updates on the Frobenius objective 0.5*||A - WH||^2,
-    stopping when the relative objective decrease falls below ``rel_tol``."""
+    stopping when the relative objective decrease falls below ``rel_tol``.
+    Returns W, H, the objective before and after each iteration, and whether
+    that test stopped the updates (False when ``max_iter`` did)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W, H = _nndsvd(A, n_comp, rng)
     objective = [0.5 * float(((A - W @ H) ** 2).sum())]
+    converged = False
     for _ in range(max_iter):
         H *= (W.T @ A) / (W.T @ W @ H + _MU_EPS)
         W *= (A @ H.T) / (W @ (H @ H.T) + _MU_EPS)
@@ -154,8 +157,9 @@ def _nmf_factorize(
         prev = objective[-1]
         objective.append(obj)
         if prev > 0.0 and (prev - obj) < rel_tol * prev:
+            converged = True
             break
-    return W, H, objective
+    return W, H, objective, converged
 
 
 def fit_nmf(rms_train, n_comp: int, seed: int) -> DecompositionModel:
@@ -169,7 +173,7 @@ def fit_nmf(rms_train, n_comp: int, seed: int) -> DecompositionModel:
         raise InvalidSpecError(
             f"n_comp={n_comp} must lie in [1, min(rows={rows}, channels={n_ch})]"
         )
-    _, H, objective = _nmf_factorize(A, n_comp, seed)
+    _, H, objective, _ = _nmf_factorize(A, n_comp, seed)
     return DecompositionModel(
         kind="nmf",
         components=H,
@@ -259,9 +263,16 @@ def plateau_point(curve: Sequence[float], threshold: float, min_points: int = 3)
 
 @dataclass(frozen=True)
 class ComponentSelection:
+    """Plateau choice over the variance-explained ``curve``. For NMF,
+    ``n_iter[i]`` and ``converged[i]`` give the iterations run by the
+    factorisation behind ``curve[i]`` and whether its relative-decrease test
+    stopped it (False when it ran into ``max_iter``); both are empty for PCA."""
+
     n_components: int
     curve: tuple[float, ...]
     plateau_found: bool
+    n_iter: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
 
 def select_components(
@@ -285,7 +296,7 @@ def select_components(
     X = _values(rms_train)
     rows, n_ch = X.shape
     n_max = min(max_components, rows, n_ch)
-    curve = []
+    curve, n_iter, converged = [], [], []
     if kind == "pca":
         full = fit_pca(X, n_max)
         Xc = X - full.mean
@@ -296,7 +307,15 @@ def select_components(
     else:
         seeds = np.random.SeedSequence(seed).generate_state(n_max)
         for n in range(1, n_max + 1):
-            W, H, _ = _nmf_factorize(X, n, int(seeds[n - 1]))
+            W, H, objective, stopped = _nmf_factorize(X, n, int(seeds[n - 1]))
             curve.append(r2_var(X, W @ H))
+            n_iter.append(len(objective) - 1)
+            converged.append(stopped)
     n_star, found = plateau_point(curve, mse_threshold)
-    return ComponentSelection(n_components=n_star, curve=tuple(curve), plateau_found=found)
+    return ComponentSelection(
+        n_components=n_star,
+        curve=tuple(curve),
+        plateau_found=found,
+        n_iter=tuple(n_iter),
+        converged=tuple(converged),
+    )

@@ -149,38 +149,38 @@ def slice_segment(
     return np.array(x.data[t0 : t0 + window_plan.length][:, block_plan.blocks[b]])
 
 
-def window_view(values: np.ndarray, plan: WindowPlan) -> np.ndarray:
-    """(W, C, L) strided view of all windows; no copy."""
-    view = sliding_window_view(values, plan.length, axis=0)
-    return view[:: plan.stride][: plan.count]
+def channel_major(values: np.ndarray) -> np.ndarray:
+    """(C, S) form of (S, C) ``values``: ``values.T`` when its rows run forward
+    in contiguous memory (``filtfilt`` output, cropped or not), else a C-ordered
+    copy, so window sums see one layout and never depend on the input's."""
+    cm = np.asarray(values, dtype=np.float64).T
+    return cm if cm.strides[1] == cm.itemsize else np.ascontiguousarray(cm)
 
 
-def _window_sums(per_sample: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """Sum of ``per_sample`` (S', C) over [start, start+length) per window,
-    via a zero-padded cumulative sum."""
-    cs = np.empty((per_sample.shape[0] + 1, per_sample.shape[1]))
-    cs[0] = 0.0
-    np.cumsum(per_sample, axis=0, out=cs[1:])
-    return cs[starts + length] - cs[starts]
+def channel_windows(cm: np.ndarray, plan: WindowPlan, length: int) -> np.ndarray:
+    """(C, W, length) strided view of the plan's windows of channel-major ``cm``."""
+    return sliding_window_view(cm, length, axis=1)[:, :: plan.stride][:, : plan.count]
 
 
 def window_sumsq(values: np.ndarray, plan: WindowPlan) -> np.ndarray:
     """(W, C) sum of squared samples per window and channel."""
-    return _window_sums(values * values, plan.starts, plan.length)
+    v = channel_windows(channel_major(values), plan, plan.length)
+    return np.einsum("cwl,cwl->wc", v, v, order="C")
 
 
 def window_abs_sum(values: np.ndarray, plan: WindowPlan) -> np.ndarray:
     """(W, C) sum of absolute samples per window and channel."""
-    return _window_sums(np.abs(values), plan.starts, plan.length)
+    v = channel_windows(np.abs(channel_major(values)), plan, plan.length)
+    return np.einsum("cwl->wc", v, order="C")
 
 
 def window_diff_sumsq(values: np.ndarray, plan: WindowPlan) -> np.ndarray:
     """(W, C) sum of squared forward differences (L - 1 terms) per window."""
-    d = np.diff(values, axis=0)
-    return _window_sums(d * d, plan.starts, plan.length - 1)
+    v = channel_windows(np.diff(channel_major(values), axis=1), plan, plan.length - 1)
+    return np.einsum("cwl,cwl->wc", v, v, order="C")
 
 
 def window_abs_diff_sum(values: np.ndarray, plan: WindowPlan) -> np.ndarray:
     """(W, C) sum of absolute forward differences (waveform length)."""
-    d = np.abs(np.diff(values, axis=0))
-    return _window_sums(d, plan.starts, plan.length - 1)
+    v = channel_windows(np.abs(np.diff(channel_major(values), axis=1)), plan, plan.length - 1)
+    return np.einsum("cwl->wc", v, order="C")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
+from .regression import RegressorSpec
 
 FEATURE_KINDS = ("mld-bfm", "rms", "mav-wl", "pca", "nmf")
 MODEL_KINDS = ("mlp", "ridge", "lasso", "knn")
@@ -57,6 +58,10 @@ class RunConfig:
             raise ConfigError(f"unknown feature kind {self.feature!r}; choose from {FEATURE_KINDS}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}; choose from {MODEL_KINDS}")
+        try:
+            RegressorSpec(kind=self.model, grid=self.grid)
+        except InvalidSpecError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (0.0 < self.split_ratio < 1.0):
             raise ConfigError("split_ratio must lie in (0, 1)")
         if self.n_win < 1:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockPlan, WindowPlan, window_diff_sumsq, window_sumsq, window_view
+from .blocks import BlockPlan, WindowPlan, channel_major, channel_windows, window_diff_sumsq, window_sumsq
 from .errors import InvalidInputError
 from .signal_core import SignalMatrix, require_finite
 
@@ -140,13 +140,13 @@ def extract_mld_bfm(
     """MLD-BFM feature tensor: W x (3 * n_blocks), columns grouped per block
     as [sigma, phi, omega] in block enumeration order."""
     require_finite(x)
-    X = x.data
+    cm = channel_major(x.data)  # (C, S)
     L = window_plan.length
     n_b = block_plan.n_blocks
     K = block_plan.channels_per_block
 
-    sumsq = window_sumsq(X, window_plan)
-    diffsq = window_diff_sumsq(X, window_plan)
+    sumsq = window_sumsq(cm.T, window_plan)
+    diffsq = window_diff_sumsq(cm.T, window_plan)
     idx = np.stack(block_plan.blocks)  # (n_B, K)
 
     block_sumsq = sumsq[:, idx].sum(axis=-1)
@@ -167,7 +167,7 @@ def extract_mld_bfm(
         for gi, block_ids in per_grid.items():
             g = block_plan.grids[gi]
             gslice = slice(g.channel_offset, g.channel_offset + g.n_channels)
-            v = window_view(np.ascontiguousarray(X[:, gslice]), window_plan)  # (W, G, L)
+            v = channel_windows(cm[gslice], window_plan, L).transpose(1, 0, 2)  # (W, G, L)
             gram = v @ v.transpose(0, 2, 1)  # (W, G, G) = X^T X per window
             local = idx[block_ids] - g.channel_offset  # (n_bg, K)
             covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (W, n_bg, K, K)

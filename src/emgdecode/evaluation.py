@@ -18,13 +18,12 @@ from .config import SWEEP_FIELDS, SWEEP_RANGES, RunConfig
 from .descriptors import FeatureTensor, extract_mld_bfm
 from .errors import AlignmentError, InvalidInputError, InvalidSpecError, PipelineError
 from .io import iter_dataset
-from .metrics import MetricsReport, compute_metrics, r2_vw
+from .metrics import MetricsReport, compute_metrics
 from .regression import (
     FittedRegressor,
     RegressorSpec,
     ScalerPair,
     build_sequences,
-    fit_regressor,
     grid_search_cv,
     postprocess,
     reconstruct_series,
@@ -135,6 +134,8 @@ def _decompose_stage(
         selection = select_components(rms_train, config.feature, seed=decomp_seed)
         n_comp = selection.n_components
         info["component_curve"] = list(selection.curve)
+        info["component_n_iter"] = list(selection.n_iter)
+        info["component_converged"] = list(selection.converged)
         info["plateau_found"] = selection.plateau_found
     else:
         n_comp = config.n_components
@@ -355,7 +356,7 @@ def sfbs_select(
     kept, and each step scores all candidates of one width together through a
     batch of c x c Schur complements. The chosen candidate borders ``L``, and
     its recorded score comes from weights given one correction against the
-    train residual. Scores equal ``ridge_scorer(alpha)`` refits up to rounding.
+    train residual. Scores equal ``r2_vw`` of ``fit_ridge(alpha)`` refits up to rounding.
     """
     alpha = _require_alpha(alpha)
     x_train, x_test = np.asarray(x_train, dtype=np.float64), np.asarray(x_test, dtype=np.float64)
@@ -457,17 +458,6 @@ def _require_alpha(alpha: float) -> float:
     return alpha
 
 
-def ridge_scorer(alpha: float = 1.0):
-    """From-scratch ridge fit + ``r2_vw`` score of one column subset: the
-    reference that ``sfbs_select``'s scores are checked against."""
-
-    def fit_score(x_tr, y_tr, x_te, y_te) -> float:
-        model = fit_regressor("ridge", x_tr, y_tr, {"alpha": alpha})
-        return r2_vw(y_te, model.predict(x_te))
-
-    return fit_score
-
-
 def run_sfbs(
     config: RunConfig,
     tasks: Iterable | None = None,
@@ -478,7 +468,8 @@ def run_sfbs(
     greedy selection with a fixed-alpha ridge scorer."""
     t_start = time.perf_counter()
     alpha = _require_alpha(alpha)
-    cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1)
+    # the scorer's alpha is fixed, so a grid, perhaps another model's, goes
+    cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1, grid=None)
     features, targets, info = featurize(cfg, tasks)
     _, split, _ = _scaled_split(cfg, features, targets)
     groups = group_columns_by_block(features[0])

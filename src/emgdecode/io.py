@@ -1,5 +1,5 @@
 """File formats: raw binary signals with JSON sidecars, trajectory CSVs,
-feature tensors (CSV or binary), and dataset directories.
+binary feature tensors, and dataset directories.
 
 Signals are stored as little-endian float32, row-major (sample-major), with
 a sidecar header ``{fs, n_samples, n_channels, grids, dtype: "f32le"}``.
@@ -148,23 +148,6 @@ def load_trajectory(path) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # feature tensors
-
-
-def save_features_csv(tensor: FeatureTensor, path) -> Path:
-    path = Path(path)
-    lines = [",".join(tensor.columns)]
-    for row in tensor.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
-
-
-def load_features_csv(path) -> FeatureTensor:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        columns = tuple(next(reader))
-        values = [[float(v) for v in row] for row in reader if row]
-    return FeatureTensor(values=np.asarray(values), columns=columns)
 
 
 def save_features_binary(tensor: FeatureTensor, base) -> tuple[Path, Path]:

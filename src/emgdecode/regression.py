@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
@@ -411,6 +412,24 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
 }
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
+# grid key -> (what a value must be, its test); a key means the same in every kind
+_GRID_VALUE_RULES = {
+    "alpha": ("a finite real >= 0", lambda v: _is_real(v) and v >= 0),
+    "k": ("an int >= 1", _is_count),
+    "weights": ("'uniform' or 'distance'", lambda v: isinstance(v, str) and v in ("uniform", "distance")),
+    "hidden": ("an int >= 1", _is_count),
+    "lr": ("a finite real > 0", lambda v: _is_real(v) and v > 0),
+}
+
+
 @dataclass(frozen=True)
 class RegressorSpec:
     """Regressor kind plus hyperparameter grid (defaults above) and seed."""
@@ -422,10 +441,20 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in DEFAULT_GRIDS:
             raise InvalidSpecError(f"unknown regressor kind {self.kind!r}")
-        if self.grid is not None:
-            unknown = set(self.grid) - set(DEFAULT_GRIDS[self.kind])
-            if unknown:
-                raise InvalidSpecError(f"unknown grid keys for {self.kind}: {sorted(unknown)}")
+        if self.grid is None:
+            return
+        if not isinstance(self.grid, dict):
+            raise InvalidSpecError(f"{self.kind} grid must be a dict of value lists, not {self.grid!r}")
+        unknown = set(self.grid) - set(DEFAULT_GRIDS[self.kind])
+        if unknown:
+            raise InvalidSpecError(f"unknown grid keys for {self.kind}: {sorted(unknown)}")
+        for key, values in self.grid.items():
+            if not isinstance(values, (list, tuple)) or not values:
+                raise InvalidSpecError(f"{self.kind} grid {key!r} must be a non-empty list, not {values!r}")
+            rule, ok = _GRID_VALUE_RULES[key]
+            for value in values:
+                if not ok(value):
+                    raise InvalidSpecError(f"{self.kind} grid {key!r}: {value!r} is not {rule}")
 
     def grid_points(self) -> list[dict]:
         grid = {**DEFAULT_GRIDS[self.kind], **(self.grid or {})}

@@ -217,8 +217,8 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
 
 
 def filtfilt(x: SignalMatrix, coeffs: IIRCoefficients) -> SignalMatrix:
-    """Zero-phase application of ``coeffs`` to every channel."""
-    return replace(x, data=apply_filtfilt(coeffs, x.data, axis=0))
+    """Zero-phase ``coeffs`` along every channel's row; the result is stored channel-major."""
+    return replace(x, data=np.ascontiguousarray(apply_filtfilt(coeffs, x.data.T, axis=1)).T)
 
 
 def crop(x: SignalMatrix, t0: float, t1: float) -> SignalMatrix:

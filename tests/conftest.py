@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emgdecode import RunConfig, SynthConfig, generate_tasks
+from emgdecode import RunConfig, SynthConfig, fit_ridge, generate_tasks, r2_vw
 
 # desk-scale dataset reused across pipeline-level tests: short tasks, small
 # crop margins, default spatial layout and noise
@@ -17,3 +17,13 @@ def small_tasks():
 @pytest.fixture()
 def small_config():
     return SMALL_RUN
+
+
+def ridge_scorer(alpha: float = 1.0):
+    """From-scratch ridge fit + ``r2_vw`` score of one column subset: the
+    reference that ``sfbs_select``'s scores are checked against."""
+
+    def fit_score(x_tr, y_tr, x_te, y_te) -> float:
+        return r2_vw(y_te, fit_ridge(x_tr, y_tr, alpha).predict(x_te))
+
+    return fit_score

@@ -37,9 +37,10 @@ from emgdecode import (
     sweep,
 )
 from emgdecode.blocks import plan_windows_seconds
-from emgdecode.evaluation import ridge_scorer
 from emgdecode.regression import _mlp_forward_backward, _mlp_init
 from emgdecode.signal_core import apply_filtfilt as _ff  # noqa: F401
+
+from conftest import ridge_scorer
 
 FS = 2052.52
 

@@ -21,6 +21,7 @@ from emgdecode import (
     select_components,
     transform,
 )
+from emgdecode.baselines import _nmf_factorize
 from emgdecode.blocks import plan_windows
 
 FS = 2052.52
@@ -158,6 +159,19 @@ class TestNmf:
         b = fit_nmf(tensor_of(data), 3, seed=42)
         assert np.array_equal(a.components, b.components)
 
+    def test_converged_means_the_tolerance_test_fired(self):
+        rng = np.random.default_rng(7)
+        data = rng.uniform(0.0, 1.0, (80, 12))
+        _, _, objective, converged = _nmf_factorize(data, 4, seed=1)
+        assert converged
+        n_iter = len(objective) - 1
+        # capped exactly where the test fires: still converged
+        _, _, same, converged = _nmf_factorize(data, 4, seed=1, max_iter=n_iter)
+        assert converged and same == objective
+        # capped one iteration earlier: not converged
+        _, _, capped, converged = _nmf_factorize(data, 4, seed=1, max_iter=n_iter - 1)
+        assert not converged and len(capped) == n_iter
+
     def test_negative_input_rejected(self):
         data = np.ones((10, 4))
         data[3, 2] = -0.1
@@ -239,6 +253,12 @@ class TestPlateau:
         sel = select_components(tensor_of(data), "nmf", seed=1)
         assert sel.n_components <= 4
         assert sel.curve[sel.n_components - 1] >= 0.99
+        # one component stops on the relative-decrease test; the factorisations
+        # beyond the data's rank run into max_iter = 500 and say so
+        assert len(sel.n_iter) == len(sel.converged) == len(sel.curve)
+        assert sel.converged[0] and sel.n_iter[0] < 500
+        assert not sel.converged[2] and sel.n_iter[2] == 500
+        assert select_components(tensor_of(data), "pca").converged == ()
 
 
 class TestModelSerialization:

@@ -1,20 +1,35 @@
-"""Block planning, window planning, and segment slicing."""
+"""Block planning, window planning, window reductions, and segment slicing."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgdecode import (
+    FilterSpec,
     GridLayout,
     InvalidRangeError,
     InvalidSpecError,
     SignalMatrix,
     default_grids,
+    design_butterworth,
+    extract_mav_wl,
+    extract_mld_bfm,
+    extract_rms,
+    filtfilt,
     plan_blocks,
     plan_windows,
     plan_windows_seconds,
     slice_segment,
+)
+from emgdecode.blocks import (
+    channel_major,
+    window_abs_diff_sum,
+    window_abs_sum,
+    window_diff_sumsq,
+    window_sumsq,
 )
 
 
@@ -203,3 +218,102 @@ class TestSliceSegment:
             slice_segment(x, bp, wp, w=wp.count, b=0)
         with pytest.raises(InvalidRangeError):
             slice_segment(x, bp, wp, w=0, b=bp.n_blocks)
+
+
+WINDOW_SUMS = (window_sumsq, window_abs_sum, window_diff_sumsq, window_abs_diff_sum)
+
+
+def fsum_window_sums(values, plan):
+    """Exactly rounded (``math.fsum``) reference for each ``WINDOW_SUMS``
+    function: (W, C) sums of squares, absolute values, squared and absolute
+    forward differences over each window's samples."""
+    d = np.diff(values, axis=0)
+    terms = {
+        window_sumsq: (values * values, plan.length),
+        window_abs_sum: (np.abs(values), plan.length),
+        window_diff_sumsq: (d * d, plan.length - 1),
+        window_abs_diff_sum: (np.abs(d), plan.length - 1),
+    }
+    out = {}
+    for fn, (per_sample, length) in terms.items():
+        out[fn] = np.array(
+            [[math.fsum(per_sample[s : s + length, c].tolist()) for c in range(values.shape[1])]
+             for s in plan.starts]
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def filtered_signal():
+    """45 s of band-passed and notched noise on a 2 x 4 grid: long enough
+    that a cumulative-sum difference loses ~1e-12 of each window's sum."""
+    fs = 2052.52
+    rng = np.random.default_rng(17)
+    x = SignalMatrix(3.0 * rng.standard_normal((int(45 * fs), 8)), fs, (GridLayout("g", 2, 4),))
+    for spec in (FilterSpec("bandpass", 4, (10.0, 500.0)), FilterSpec("notch", band=60.0, q=30.0)):
+        x = filtfilt(x, design_butterworth(spec, fs))
+    return x
+
+
+class TestWindowReductions:
+    def test_match_fsum_on_filtered_signal(self, filtered_signal):
+        x = filtered_signal
+        plan = plan_windows_seconds(x.n_samples, x.fs, 0.150, 0.050)
+        ref = fsum_window_sums(x.data, plan)
+        for fn in WINDOW_SUMS:
+            got = fn(x.data, plan)
+            assert got.shape == (plan.count, x.n_channels)
+            rel = np.abs(got - ref[fn]) / ref[fn]
+            assert rel.max() <= 1e-14, fn.__name__
+
+    def test_bit_equal_across_memory_layouts(self, filtered_signal):
+        data = filtered_signal.data  # (S, C) view of a channel-major buffer
+        a = np.ascontiguousarray(data)
+        pad = np.ascontiguousarray(np.vstack([np.ones((5, 8)), a, np.ones((7, 8))]).T).T
+        layouts = {
+            "C-ordered": a,
+            "F-ordered": np.asfortranarray(a),
+            "time-reversed": np.ascontiguousarray(a[::-1])[::-1],
+            "time-reversed channel-major": np.ascontiguousarray(a.T[:, ::-1])[:, ::-1].T,
+            "cropped channel-major": pad[5 : 5 + a.shape[0]],
+        }
+        # channel-major rows are read in place, cropped or not
+        assert np.shares_memory(channel_major(data), data)
+        assert np.shares_memory(channel_major(layouts["cropped channel-major"]), pad)
+        plan = plan_windows(a.shape[0], 308, 103)
+        grids = filtered_signal.grids
+        blocks = plan_blocks(grids, 2, 1)
+        extractors = {
+            **{fn.__name__: (lambda v, fn=fn: fn(v, plan)) for fn in WINDOW_SUMS},
+            "extract_mld_bfm": lambda v: extract_mld_bfm(SignalMatrix(v, 2052.52, grids), blocks, plan).values,
+            "extract_rms": lambda v: extract_rms(SignalMatrix(v, 2052.52, grids), plan).values,
+            "extract_mav_wl": lambda v: extract_mav_wl(SignalMatrix(v, 2052.52, grids), plan).values,
+        }
+        assert all(np.array_equal(values, a) for values in layouts.values())
+        for name, extract in extractors.items():
+            expected = extract(a)
+            for layout, values in layouts.items():
+                assert np.array_equal(extract(values), expected), (name, layout)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_samples=st.integers(1, 300),
+        length=st.integers(1, 60),
+        overlap_frac=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_samples=1, length=1, overlap_frac=0.0, seed=0)
+    @example(n_samples=40, length=1, overlap_frac=0.0, seed=1)
+    def test_match_fsum_for_any_window_geometry(self, n_samples, length, overlap_frac, seed):
+        length = min(length, n_samples)
+        plan = plan_windows(n_samples, length, int(length * overlap_frac))
+        values = np.random.default_rng(seed).standard_normal((n_samples, 3))
+        ref = fsum_window_sums(values, plan)
+        for fn in WINDOW_SUMS:
+            got = fn(values, plan)
+            assert got.shape == (plan.count, 3)
+            assert np.all(np.abs(got - ref[fn]) <= 1e-14 * np.abs(ref[fn])), fn.__name__
+        if length == 1:
+            # a one-sample window holds no forward difference
+            assert not window_diff_sumsq(values, plan).any()
+            assert not window_abs_diff_sum(values, plan).any()

@@ -86,6 +86,13 @@ class TestEvaluate:
         bad.write_text(json.dumps({"blok_size": 3}))
         assert main(["evaluate", "--dataset", str(ds), "--config", str(bad), "--out", str(root / "x")]) == 2
 
+    def test_bad_grid_value_exits_2_before_reading_data(self, tmp_path):
+        bad = tmp_path / "bad_grid.json"
+        bad.write_text(json.dumps({"model": "knn", "grid": {"k": [0]}}))
+        missing = tmp_path / "no_such_dataset"
+        rc = main(["evaluate", "--dataset", str(missing), "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2
+
     def test_missing_dataset_exits_1(self, dataset, tmp_path):
         root, _ = dataset
         cfg = write_run_config(root)

@@ -1,5 +1,6 @@
 """Metrics, pipeline-level behavior, sweeps, SFBS, and contribution maps."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +34,10 @@ from emgdecode import (
     sfbs_select,
     sweep,
 )
-from emgdecode.evaluation import SFBSResult, featurize, ridge_scorer
+from emgdecode.evaluation import SFBSResult, _decompose_stage, featurize
 from emgdecode.signal_core import assemble_split, split_chunks
+
+from conftest import ridge_scorer
 
 
 class TestMetrics:
@@ -478,6 +481,18 @@ class TestDecompositionPipeline:
         assert 1 <= n_comp <= 19
         assert res.manifest["stages"]["n_features"] == n_comp
         assert res.metrics.r2_vw > 0.3
+
+    def test_nmf_convergence_recorded_next_to_curve(self):
+        rng = np.random.default_rng(31)
+        columns = tuple(f"ch{c:03d}:rms" for c in range(10))
+        features = [FeatureTensor(rng.uniform(0.1, 1.0, (40, 10)), columns) for _ in range(3)]
+        targets = [rng.standard_normal((40, 5)) for _ in range(3)]
+        _, stages = _decompose_stage(RunConfig(feature="nmf", seed=2), features, targets)
+        n_iter, converged = stages["component_n_iter"], stages["component_converged"]
+        assert len(n_iter) == len(converged) == len(stages["component_curve"]) == 10
+        # a factorisation that did not converge ran to max_iter = 500
+        assert all(1 <= n <= 500 and (done or n == 500) for n, done in zip(n_iter, converged))
+        assert json.loads(json.dumps(stages))["component_converged"] == converged
 
     def test_pinned_component_count(self, small_tasks, small_config):
         res = run_pipeline(

@@ -82,13 +82,6 @@ class TestFeatureRoundTrip:
         rng = np.random.default_rng(1)
         return FeatureTensor(rng.standard_normal((7, 3)), ("b000:sigma", "b000:phi", "b000:omega"))
 
-    def test_csv(self, tmp_path):
-        t = self.tensor()
-        io.save_features_csv(t, tmp_path / "f.csv")
-        back = io.load_features_csv(tmp_path / "f.csv")
-        assert back.columns == t.columns
-        assert np.array_equal(back.values, t.values)  # repr round-trips floats
-
     def test_binary(self, tmp_path):
         t = self.tensor()
         io.save_features_binary(t, tmp_path / "f")

@@ -7,9 +7,11 @@ import pytest
 
 from emgdecode import (
     DEFAULT_GRIDS,
+    ConfigError,
     InvalidInputError,
     InvalidSpecError,
     RegressorSpec,
+    RunConfig,
     ScalerPair,
     build_sequences,
     fit_knn,
@@ -20,6 +22,7 @@ from emgdecode import (
     postprocess,
     reconstruct_series,
 )
+from emgdecode import regression
 from emgdecode.regression import _mlp_forward_backward, _mlp_init
 
 
@@ -184,6 +187,32 @@ def test_negative_or_non_finite_alpha_rejected(fit, alpha):
         fit(X, Y, alpha)
 
 
+@pytest.mark.parametrize(
+    "kind, grid, key, bad",
+    [
+        ("mlp", {"hidden": [0]}, "hidden", 0),
+        ("knn", {"k": ["5"]}, "k", "5"),
+        ("ridge", {"alpha": []}, "alpha", []),
+        ("ridge", {"alpha": 0.1}, "alpha", 0.1),
+        ("lasso", {"alpha": [math.nan]}, "alpha", math.nan),
+        ("knn", {"weights": ["bogus"]}, "weights", "bogus"),
+        ("mlp", {"lr": [-1.0]}, "lr", -1.0),
+    ],
+    ids=["hidden-zero", "k-string", "alpha-empty", "alpha-scalar", "alpha-nan", "weights-unknown", "lr-negative"],
+)
+def test_bad_grid_value_rejected(kind, grid, key, bad):
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((40, 3))
+    Y = rng.standard_normal((40, 2))
+    with pytest.raises(InvalidSpecError) as info:
+        grid_search_cv(RegressorSpec(kind, grid=grid, seed=0), X, Y)
+    for name in (kind, repr(key), repr(bad)):
+        assert name in str(info.value)
+    # a run config holding the grid fails on construction, before any data is read
+    with pytest.raises(ConfigError, match=repr(key)):
+        RunConfig(model=kind, grid=grid)
+
+
 class TestKnn:
     def test_exact_match_short_circuit(self):
         rng = np.random.default_rng(11)
@@ -311,14 +340,18 @@ class TestGridSearch:
         assert fitted.hyperparams["k"] == 10
         assert fitted.mean_scores[0] == -math.inf
 
-    def test_untyped_fit_error_reaches_caller(self):
-        # a string alpha, as a hand-written JSON grid can hold, is a caller
-        # bug, not a failed grid point
+    def test_untyped_fit_error_reaches_caller(self, monkeypatch):
+        # a fit failing with anything but an EmgDecodeError is a bug, not a
+        # failed grid point
+        def broken_fit(X, Y, alpha):
+            raise TypeError("bug inside a fit")
+
+        monkeypatch.setattr(regression, "fit_ridge", broken_fit)
         rng = np.random.default_rng(24)
         X = rng.standard_normal((40, 3))
         Y = rng.standard_normal((40, 2))
-        with pytest.raises(TypeError):
-            grid_search_cv(RegressorSpec("ridge", grid={"alpha": ["0.1"]}, seed=0), X, Y)
+        with pytest.raises(TypeError, match="bug inside a fit"):
+            grid_search_cv(RegressorSpec("ridge", grid={"alpha": [0.1]}, seed=0), X, Y)
 
     def test_table_one_grids(self):
         assert DEFAULT_GRIDS["ridge"]["alpha"] == [0.001, 0.01, 0.1, 1.0, 10.0]

@@ -94,6 +94,18 @@ class TestFiltfilt:
         with pytest.raises(InvalidInputError):
             filtfilt(make_signal(np.ones(24)), coeffs)  # needs > 3 * 8 poles
 
+    def test_channel_major_result_equals_axis0_filtering(self):
+        # each channel is filtered along its own row; the result is stored
+        # channel-major and equals filtering the (S, C) matrix along axis 0
+        coeffs = design_butterworth(FilterSpec("bandpass", 4, (10.0, 500.0)), FS)
+        raw = np.random.default_rng(3).standard_normal((3000, 5))
+        y = filtfilt(make_signal(raw), coeffs)
+        assert y.data.shape == (3000, 5)
+        assert y.data.T.flags.c_contiguous
+        assert np.array_equal(y.data, apply_filtfilt(coeffs, raw, axis=0))
+        again = filtfilt(y, coeffs)
+        assert np.array_equal(again.data, apply_filtfilt(coeffs, apply_filtfilt(coeffs, raw), axis=0))
+
     def test_linearity(self):
         coeffs = design_butterworth(FilterSpec("bandpass", 4, (10.0, 500.0)), FS)
         rng = np.random.default_rng(42)
