@@ -145,15 +145,28 @@ def _nmf_factorize(
     """Multiplicative updates on the Frobenius objective 0.5*||A - WH||^2,
     stopping when the relative objective decrease falls below ``rel_tol``.
     Returns W, H, the objective before and after each iteration, and whether
-    that test stopped the updates (False when ``max_iter`` did)."""
+    that test stopped the updates (False when ``max_iter`` did).
+
+    After each iteration the objective is
+    0.5*(||A||^2 - 2<W, AH'> + <W'W, HH'>), from products the updates form
+    anyway; W'W is also the next H update's ``W'W @ H``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W, H = _nndsvd(A, n_comp, rng)
+    norm2 = float(np.vdot(A, A))
     objective = [0.5 * float(((A - W @ H) ** 2).sum())]
     converged = False
+    wtw = W.T @ W
     for _ in range(max_iter):
-        H *= (W.T @ A) / (W.T @ W @ H + _MU_EPS)
-        W *= (A @ H.T) / (W @ (H @ H.T) + _MU_EPS)
-        obj = 0.5 * float(((A - W @ H) ** 2).sum())
+        H *= (W.T @ A) / (wtw @ H + _MU_EPS)
+        hht = H @ H.T
+        aht = A @ H.T
+        W *= aht / (W @ hht + _MU_EPS)
+        wtw = W.T @ W
+        obj = 0.5 * (norm2 - 2.0 * float(np.vdot(W, aht)) + float(np.vdot(wtw, hht)))
+        if obj < 1e-5 * norm2:
+            # the Gram form loses a few eps * ||A||^2 to cancellation, which
+            # near an exact fit is the whole objective: form the residual
+            obj = 0.5 * float(((A - W @ H) ** 2).sum())
         prev = objective[-1]
         objective.append(obj)
         if prev > 0.0 and (prev - obj) < rel_tol * prev:

@@ -21,6 +21,8 @@ from .io import iter_dataset
 from .metrics import MetricsReport, compute_metrics
 from .regression import (
     FittedRegressor,
+    LinearModel,
+    MLPModel,
     RegressorSpec,
     ScalerPair,
     build_sequences,
@@ -201,6 +203,10 @@ def decode_features(
         "stages": {
             "hyperparams": fitted.hyperparams,
             "cv_mean_scores": list(fitted.mean_scores),
+            "cv_failures": [
+                {"grid_index": gi, "fold": fi, "reason": reason} for gi, fi, reason in fitted.failures
+            ],
+            **_convergence(fitted.model),
             "n_train_rows": int(split.x_train.shape[0]),
             "n_test_rows": int(split.x_test.shape[0]),
             "n_features": int(split.x_train.shape[1]),
@@ -209,6 +215,15 @@ def decode_features(
         "metrics": report.to_dict(),
     }
     return PipelineResult(metrics=report, manifest=manifest, model=fitted, y_true=y_true, y_pred=y_pred)
+
+
+def _convergence(model) -> dict:
+    """The manifest entries for how the refit winner's training stopped."""
+    if isinstance(model, MLPModel):
+        return {"model_n_epochs": model.n_epochs, "model_lr_drops": list(model.lr_drops)}
+    if isinstance(model, LinearModel) and model.kind == "lasso":
+        return {"model_n_iter": list(model.n_iter), "model_converged": list(model.converged)}
+    return {}
 
 
 def _featurize_stages(info: dict) -> dict:

@@ -91,10 +91,16 @@ def reconstruct_series(pred_seq, n_out: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
+    """Weights and intercept of a ridge or Lasso fit. For Lasso, ``n_iter[d]``
+    and ``converged[d]`` give output d's coordinate-descent sweeps and whether
+    the tolerance test stopped them; both are empty for ridge."""
+
     kind: str
     weights: np.ndarray
     intercept: np.ndarray
     alpha: float
+    n_iter: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
@@ -162,41 +168,60 @@ def fit_lasso(X, Y, alpha: float, max_iter: int = 10000, tol: float = 1e-3) -> L
 
     The mean-based normalization keeps ``alpha`` comparable across dataset
     sizes. Stops when the largest coefficient update in a sweep drops below
-    tol * max|w|.
+    tol * max|w|; the model records each output's sweeps and whether that
+    test stopped it (False when ``max_iter`` did).
+
+    Covariance form: ``G = Xc'Xc/n`` and ``C = Xc'Yc/n`` are formed once, and
+    each output keeps its residual correlation ``r = C[:, d] - G w`` current,
+    so ``rho_j = r_j + G_jj w_j`` is a read and a coordinate that moves costs
+    one length-f update of ``r`` instead of passes over the data rows.
     """
     _check_alpha("lasso", alpha)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInputError("lasso requires finite inputs")
     if Y.ndim == 1:
         Y = Y[:, None]
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
-    Yc = Y - y_mean
     n, f = Xc.shape
-    z = (Xc * Xc).mean(axis=0)
+    gram = (Xc.T @ Xc) / n
+    cross = (Xc.T @ (Y - y_mean)) / n
+    z = np.diag(gram).tolist()
+    coords = [(j, z[j], gram[j]) for j in range(f) if z[j] != 0.0]
     W = np.zeros((f, Y.shape[1]))
+    n_iter, converged = [], []
     for d in range(Y.shape[1]):
-        y = Yc[:, d]
-        w = W[:, d]
-        resid = y.copy()
-        for _ in range(max_iter):
+        r = cross[:, d].copy()
+        w = [0.0] * f
+        sweeps, stopped = 0, False
+        while sweeps < max_iter and not stopped:
+            sweeps += 1
             max_delta = 0.0
-            for j in range(f):
-                if z[j] == 0.0:
-                    continue
+            for j, zj, gj in coords:
                 old = w[j]
-                if old != 0.0:
-                    resid += old * Xc[:, j]
-                rho = float(Xc[:, j] @ resid) / n
-                new = _soft(rho, alpha) / z[j]
-                if new != 0.0:
-                    resid -= new * Xc[:, j]
-                w[j] = new
-                max_delta = max(max_delta, abs(new - old))
-            if max_delta <= tol * float(np.abs(w).max(initial=0.0)):
-                break
-    return LinearModel(kind="lasso", weights=W, intercept=y_mean - x_mean @ W, alpha=float(alpha))
+                new = _soft(r.item(j) + zj * old, alpha) / zj
+                if new != old:
+                    r -= gj * (new - old)
+                    w[j] = new
+                    max_delta = max(max_delta, abs(new - old))
+            stopped = max_delta <= tol * max(map(abs, w), default=0.0)
+        W[:, d] = w
+        n_iter.append(sweeps)
+        converged.append(stopped)
+    return LinearModel(
+        kind="lasso",
+        weights=W,
+        intercept=y_mean - x_mean @ W,
+        alpha=float(alpha),
+        n_iter=tuple(n_iter),
+        converged=tuple(converged),
+    )
+
+
+_KNN_CHUNK_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -209,11 +234,17 @@ class KNNModel:
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.empty((X.shape[0], self.y_train.shape[1]))
-        # chunked pairwise distances to bound memory
-        chunk = max(1, int(2e6 // max(self.x_train.shape[0], 1)))
+        # query rows in chunks whose (rows, n_train, features) difference
+        # tensor holds at most _KNN_CHUNK_ENTRIES entries, freed before the
+        # next chunk's; each distance is the same per-row reduction whatever
+        # the chunking
+        chunk = max(1, _KNN_CHUNK_ENTRIES // max(self.x_train.size, 1))
         for s in range(0, X.shape[0], chunk):
             q = X[s : s + chunk]
-            d2 = ((q[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
+            diff = q[:, None, :] - self.x_train[None, :, :]
+            diff *= diff
+            d2 = diff.sum(axis=2)
+            del diff
             order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             for i in range(q.shape[0]):
                 idx = order[i]
@@ -287,11 +318,15 @@ def _mlp_init(n_feat: int, hidden: int, n_out: int, rng: np.random.Generator) ->
 
 @dataclass(frozen=True)
 class MLPModel:
+    """A trained network; ``lr_drops`` lists the epochs (1-based) after which
+    the step size was divided by 5."""
+
     params: dict
     hidden: int
     lr: float
     n_epochs: int
     history: tuple[float, ...]
+    lr_drops: tuple[int, ...] = ()
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -357,6 +392,7 @@ def fit_mlp(
     lr_now = lr
     best_train = math.inf
     lr_stall = 0
+    lr_drops = []
     for _ in range(max_iter):
         perm = rng.permutation(n_tr)
         epoch_losses = []
@@ -383,6 +419,7 @@ def fit_mlp(
             if lr_stall >= 10:
                 lr_now /= 5.0
                 lr_stall = 0
+                lr_drops.append(epochs_run)
         vl = val_loss()
         if not math.isfinite(vl):
             raise TrainingDivergedError("non-finite validation loss")
@@ -401,6 +438,7 @@ def fit_mlp(
         lr=lr,
         n_epochs=epochs_run,
         history=tuple(history),
+        lr_drops=tuple(lr_drops),
     )
 
 
@@ -482,6 +520,7 @@ class FittedRegressor:
     fold_scores: tuple[tuple[float, ...], ...]
     mean_scores: tuple[float, ...]
     grid_points: tuple[dict, ...] = field(default=())
+    failures: tuple[tuple[int, int, str], ...] = ()
 
     def predict(self, X) -> np.ndarray:
         return self.model.predict(X)
@@ -493,6 +532,7 @@ class FittedRegressor:
             "grid_points": list(self.grid_points),
             "fold_scores": [list(f) for f in self.fold_scores],
             "mean_scores": list(self.mean_scores),
+            "failures": [list(f) for f in self.failures],
             "model": self.model.to_jsonable(),
         }
 
@@ -507,8 +547,9 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
     cross-validation on the (pre-shuffled) training rows; variance-weighted
     R^2 is the selection criterion and the winner is refit on all rows.
 
-    A grid point whose fit fails with an ``EmgDecodeError`` (an impossible
-    KNN ``k``, a diverged MLP) scores -inf; any other exception propagates.
+    A fold whose fit fails with an ``EmgDecodeError`` (an impossible KNN
+    ``k``, a diverged MLP) scores -inf and is recorded in ``failures`` as
+    (grid index, fold index, reason); any other exception propagates.
     Ties go to the first-listed point. Per-fit seeds are derived from the
     spec seed so results do not depend on evaluation order.
     """
@@ -523,6 +564,7 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
     fold_slc = _fold_slices(n, folds)
     all_fold_scores: list[tuple[float, ...]] = []
     mean_scores: list[float] = []
+    failures: list[tuple[int, int, str]] = []
     for gi, hyper in enumerate(points):
         scores = []
         for fi, slc in enumerate(fold_slc):
@@ -532,8 +574,9 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
                 seed = _derived_seed(spec.seed, gi, fi)
                 model = fit_regressor(spec.kind, X[mask], Y[mask], hyper, seed=seed)
                 scores.append(r2_vw(Y[slc], model.predict(X[slc])))
-            except EmgDecodeError:
+            except EmgDecodeError as exc:
                 scores.append(-math.inf)
+                failures.append((gi, fi, f"{type(exc).__name__}: {exc}"))
         all_fold_scores.append(tuple(scores))
         mean_scores.append(float(np.mean(scores)))
     best = int(np.argmax(mean_scores))
@@ -548,6 +591,7 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
         fold_scores=tuple(all_fold_scores),
         mean_scores=tuple(mean_scores),
         grid_points=tuple(points),
+        failures=tuple(failures),
     )
 
 

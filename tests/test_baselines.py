@@ -21,7 +21,7 @@ from emgdecode import (
     select_components,
     transform,
 )
-from emgdecode.baselines import _nmf_factorize
+from emgdecode.baselines import _MU_EPS, _nmf_factorize, _nndsvd
 from emgdecode.blocks import plan_windows
 
 FS = 2052.52
@@ -136,6 +136,24 @@ class TestPca:
             prev = score
 
 
+def direct_nmf_factorize(A, n_comp, seed, max_iter=500, rel_tol=1e-4):
+    """Reference multiplicative updates with the objective formed from the
+    residual ``A - WH`` after every iteration; same returns as
+    ``_nmf_factorize``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    W, H = _nndsvd(A, n_comp, rng)
+    objective = [0.5 * float(((A - W @ H) ** 2).sum())]
+    for _ in range(max_iter):
+        H *= (W.T @ A) / (W.T @ W @ H + _MU_EPS)
+        W *= (A @ H.T) / (W @ (H @ H.T) + _MU_EPS)
+        obj = 0.5 * float(((A - W @ H) ** 2).sum())
+        prev = objective[-1]
+        objective.append(obj)
+        if prev > 0.0 and (prev - obj) < rel_tol * prev:
+            return W, H, objective, True
+    return W, H, objective, False
+
+
 class TestNmf:
     def test_rank_one_reconstruction(self):
         rng = np.random.default_rng(6)
@@ -171,6 +189,45 @@ class TestNmf:
         # capped one iteration earlier: not converged
         _, _, capped, converged = _nmf_factorize(data, 4, seed=1, max_iter=n_iter - 1)
         assert not converged and len(capped) == n_iter
+
+    @pytest.mark.parametrize(
+        "rng_seed, bounds, shape, n_comp, seed",
+        [
+            (7, (0.0, 1.0), (80, 12), 4, 1),
+            (8, (0.0, 1.0), (50, 9), 3, 42),
+            (9, (0.0, 2.0), (60, 10), 4, 3),
+            (20, (0.1, 1.0), (40, 6), 3, 0),
+        ],
+    )
+    def test_gram_objective_matches_direct_route(self, rng_seed, bounds, shape, n_comp, seed):
+        # the data and seeds of the other NMF tests
+        data = np.random.default_rng(rng_seed).uniform(*bounds, shape)
+        W, H, objective, converged = _nmf_factorize(data, n_comp, seed)
+        W_ref, H_ref, direct, converged_ref = direct_nmf_factorize(data, n_comp, seed)
+        assert converged == converged_ref and len(objective) == len(direct)
+        assert np.array_equal(W, W_ref) and np.array_equal(H, H_ref)
+        assert np.allclose(objective, direct, rtol=1e-10, atol=0.0)
+
+    def test_gram_objective_near_exact_fit(self):
+        # rank-one data: NNDSVD starts at the optimum, where the Gram form's
+        # cancellation would be all of the objective
+        rng = np.random.default_rng(6)
+        data = np.outer(rng.uniform(0.5, 2.0, 60), rng.uniform(0.1, 1.0, 8))
+        got = _nmf_factorize(data, 1, 0)
+        want = direct_nmf_factorize(data, 1, 0)
+        assert got[3] == want[3] and got[2] == want[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_rank2_plateau_iterates_match_direct_route(self):
+        rng = np.random.default_rng(15)
+        data = rng.uniform(0.2, 1.0, (150, 2)) @ rng.uniform(0.2, 1.0, (2, 16))
+        seeds = np.random.SeedSequence(1).generate_state(4)
+        for n_comp, seed in enumerate(seeds[:4], 1):
+            W, H, objective, converged = _nmf_factorize(data, n_comp, int(seed))
+            W_ref, H_ref, direct, converged_ref = direct_nmf_factorize(data, n_comp, int(seed))
+            assert converged == converged_ref and len(objective) == len(direct)
+            assert np.array_equal(W, W_ref) and np.array_equal(H, H_ref)
+            assert np.allclose(objective, direct, rtol=1e-10, atol=0.0)
 
     def test_negative_input_rejected(self):
         data = np.ones((10, 4))

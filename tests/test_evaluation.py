@@ -161,6 +161,34 @@ class TestDecodeFeatures:
         # sequences shrink each chunk by n_win - 1
         assert res.manifest["stages"]["n_test_rows"] == 4 * (60 - 2)
 
+    def test_cv_failure_reasons_in_manifest(self):
+        rng = np.random.default_rng(13)
+        features, targets = tasks_from_targets(rng, noise=0.4)
+        # 240 training rows: each CV fold trains on 192, fewer than k = 500
+        config = RunConfig(crop_s=None, seed=0, model="knn", grid={"k": [500, 5], "weights": ["uniform"]})
+        stages = json.loads(json.dumps(decode_features(config, features, targets).manifest))["stages"]
+        assert stages["hyperparams"]["k"] == 5
+        failures = stages["cv_failures"]
+        assert [(f["grid_index"], f["fold"]) for f in failures] == [(0, fold) for fold in range(5)]
+        assert all("k=500" in f["reason"] for f in failures)
+
+    @pytest.mark.parametrize("model", ["lasso", "mlp", "ridge"])
+    def test_refit_convergence_in_manifest(self, model):
+        rng = np.random.default_rng(14)
+        features, targets = tasks_from_targets(rng, noise=0.4)
+        res = decode_features(RunConfig(crop_s=None, seed=0, model=model), features, targets)
+        stages = json.loads(json.dumps(res.manifest))["stages"]
+        fitted = res.model.model
+        assert stages["cv_failures"] == []
+        if model == "lasso":
+            assert stages["model_n_iter"] == list(fitted.n_iter) and len(fitted.n_iter) == 3
+            assert stages["model_converged"] == list(fitted.converged)
+        elif model == "mlp":
+            assert stages["model_n_epochs"] == fitted.n_epochs
+            assert stages["model_lr_drops"] == list(fitted.lr_drops)
+        else:
+            assert not any(key.startswith("model_") for key in stages)
+
 
 class TestPipeline:
     def test_manifest_captures_parameters(self, small_tasks, small_config):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgdecode import (
     DEFAULT_GRIDS,
@@ -149,6 +151,46 @@ def orthonormal_design(n, f, rng):
     return Q[:, :f] * math.sqrt(n)
 
 
+def residual_lasso(X, Y, alpha, max_iter=10000, tol=1e-3):
+    """Reference Lasso: the same cyclic coordinate descent as ``fit_lasso``,
+    on the data residual. Each coordinate adds its old contribution back to
+    the length-n residual, takes rho from a dot product with its column and
+    subtracts the new contribution. Returns the weights, each output's
+    sweeps, and whether the tolerance test stopped them."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    Xc = X - X.mean(axis=0)
+    Yc = Y - Y.mean(axis=0)
+    n, f = Xc.shape
+    z = (Xc * Xc).mean(axis=0)
+    W = np.zeros((f, Y.shape[1]))
+    sweeps, stopped = [], []
+    for d in range(Y.shape[1]):
+        w = W[:, d]
+        resid = Yc[:, d].copy()
+        done = False
+        for sweep in range(1, max_iter + 1):
+            max_delta = 0.0
+            for j in range(f):
+                if z[j] == 0.0:
+                    continue
+                old = w[j]
+                if old != 0.0:
+                    resid += old * Xc[:, j]
+                rho = float(Xc[:, j] @ resid) / n
+                new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / z[j]
+                if new != 0.0:
+                    resid -= new * Xc[:, j]
+                w[j] = new
+                max_delta = max(max_delta, abs(new - old))
+            if max_delta <= tol * float(np.abs(w).max(initial=0.0)):
+                done = True
+                break
+        sweeps.append(sweep)
+        stopped.append(done)
+    return W, sweeps, stopped
+
+
 class TestLasso:
     def test_huge_alpha_kills_all_weights(self):
         rng = np.random.default_rng(8)
@@ -175,6 +217,51 @@ class TestLasso:
         w_ls = (X.T @ Y) / X.shape[0]
         expected = np.sign(w_ls) * np.maximum(np.abs(w_ls) - alpha, 0.0)
         assert np.abs(model.weights - expected).max() <= 1e-6
+
+    def test_nonfinite_input_rejected(self):
+        X = np.random.default_rng(25).standard_normal((40, 3))
+        X[5, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="lasso"):
+            fit_lasso(X, np.zeros((40, 1)), 0.1)
+        with pytest.raises(InvalidInputError, match="lasso"):
+            fit_lasso(np.zeros((40, 3)), np.full((40, 1), np.inf), 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        f=st.integers(1, 8),
+        n_out=st.integers(1, 3),
+        alpha=st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0]),
+        constant=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_covariance_form_matches_residual_form(self, seed, n, f, n_out, alpha, constant):
+        # few rows (n < f), alpha = 0, zero-variance columns, several outputs
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, f))
+        X[:, np.asarray(constant[:f])] = 3.0
+        Y = X @ rng.standard_normal((f, n_out)) + rng.standard_normal((n, n_out))
+        model = fit_lasso(X, Y, alpha)
+        W, sweeps, stopped = residual_lasso(X, Y, alpha)
+        assert list(model.n_iter) == sweeps
+        assert list(model.converged) == stopped
+        assert np.abs(model.weights - W).max() <= 1e-12 * np.abs(W).max()
+
+    def test_convergence_recorded_per_output(self):
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((60, 5))
+        Y = X @ rng.standard_normal((5, 3)) + 0.5 * rng.standard_normal((60, 3))
+        model = fit_lasso(X, Y, alpha=0.01)
+        assert len(model.n_iter) == len(model.converged) == 3
+        assert all(model.converged)
+        # capped exactly where the test fires: still converged
+        first = model.n_iter[0]
+        capped = fit_lasso(X, Y[:, :1], alpha=0.01, max_iter=first)
+        assert capped.n_iter == (first,) and capped.converged == (True,)
+        # capped one sweep earlier: not converged
+        capped = fit_lasso(X, Y[:, :1], alpha=0.01, max_iter=first - 1)
+        assert capped.n_iter == (first - 1,) and capped.converged == (False,)
+        assert fit_ridge(X, Y, 0.1).n_iter == () and fit_ridge(X, Y, 0.1).converged == ()
 
 
 @pytest.mark.parametrize("fit", [fit_ridge, fit_lasso])
@@ -251,6 +338,27 @@ class TestKnn:
         with pytest.raises(InvalidSpecError):
             fit_knn(np.zeros((5, 2)), np.zeros((5, 1)), k=6)
 
+    def test_chunks_bound_the_difference_tensor(self, monkeypatch):
+        import tracemalloc
+
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((1000, 200))
+        Y = rng.standard_normal((1000, 3))
+        queries = rng.standard_normal((40, 200))
+        model = fit_knn(X, Y, k=5, weights="distance")
+        tracemalloc.start()
+        try:
+            pred = model.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of at most 2e6 float64 entries (16 MB), not 40 x 1000 x 200
+        # (64 MB) as a chunk rule that ignores the feature count gives
+        assert peak <= 24e6
+        # every distance is the same per-row reduction in one chunk
+        monkeypatch.setattr(regression, "_KNN_CHUNK_ENTRIES", 10**12)
+        assert np.array_equal(model.predict(queries), pred)
+
 
 class TestMlp:
     def test_gradients_match_central_differences(self):
@@ -292,6 +400,18 @@ class TestMlp:
         b = fit_mlp(X, Y, hidden=8, lr=0.01, max_iter=5, seed=11)
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
+
+    def test_learning_rate_drops_recorded(self):
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((300, 4))
+        Y = rng.standard_normal((300, 2))  # no signal: the training loss stalls
+        model = fit_mlp(X, Y, hidden=8, lr=0.1, max_iter=80, patience=100, seed=0)
+        drops = model.lr_drops
+        assert model.n_epochs == 80 and drops
+        # a drop needs ten stalled epochs after the first one set the best loss
+        assert drops[0] >= 11 and drops[-1] <= model.n_epochs
+        assert all(b - a >= 10 for a, b in zip(drops, drops[1:]))
+        assert fit_mlp(X, Y, hidden=8, lr=0.1, max_iter=5, seed=0).lr_drops == ()
 
     def test_learns_linear_map(self):
         rng = np.random.default_rng(18)
@@ -339,6 +459,10 @@ class TestGridSearch:
         fitted = grid_search_cv(spec, X, Y)
         assert fitted.hyperparams["k"] == 10
         assert fitted.mean_scores[0] == -math.inf
+        # each failed fold is recorded with its reason; -inf stays in the scores
+        assert [f[:2] for f in fitted.failures] == [(0, fi) for fi in range(5)]
+        assert all("InvalidSpecError" in f[2] and "k=50" in f[2] for f in fitted.failures)
+        assert fitted.fold_scores[0] == (-math.inf,) * 5
 
     def test_untyped_fit_error_reaches_caller(self, monkeypatch):
         # a fit failing with anything but an EmgDecodeError is a bug, not a
