@@ -49,13 +49,6 @@ class BlockPlan:
         }
 
 
-def blocks_per_grid(grid: GridLayout, block_size: int, step: int) -> int:
-    """Number of BxB blocks a grid admits with the given step."""
-    return (((grid.n_rows - block_size) // step) + 1) * (
-        ((grid.n_cols - block_size) // step) + 1
-    )
-
-
 def plan_blocks(grids: Sequence[GridLayout], block_size: int, step: int) -> BlockPlan:
     if step < 1:
         raise InvalidSpecError("block step must be >= 1")

@@ -220,7 +220,11 @@ def decode_features(
 def _convergence(model) -> dict:
     """The manifest entries for how the refit winner's training stopped."""
     if isinstance(model, MLPModel):
-        return {"model_n_epochs": model.n_epochs, "model_lr_drops": list(model.lr_drops)}
+        return {
+            "model_n_epochs": model.n_epochs,
+            "model_lr_drops": list(model.lr_drops),
+            "model_converged": model.converged,
+        }
     if isinstance(model, LinearModel) and model.kind == "lasso":
         return {"model_n_iter": list(model.n_iter), "model_converged": list(model.converged)}
     return {}

@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
+import scipy.spatial
 
 from .errors import (
     EmgDecodeError,
@@ -221,9 +222,6 @@ def fit_lasso(X, Y, alpha: float, max_iter: int = 10000, tol: float = 1e-3) -> L
     )
 
 
-_KNN_CHUNK_ENTRIES = 2_000_000
-
-
 @dataclass(frozen=True)
 class KNNModel:
     x_train: np.ndarray
@@ -233,33 +231,19 @@ class KNNModel:
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], self.y_train.shape[1]))
-        # query rows in chunks whose (rows, n_train, features) difference
-        # tensor holds at most _KNN_CHUNK_ENTRIES entries, freed before the
-        # next chunk's; each distance is the same per-row reduction whatever
-        # the chunking
-        chunk = max(1, _KNN_CHUNK_ENTRIES // max(self.x_train.size, 1))
-        for s in range(0, X.shape[0], chunk):
-            q = X[s : s + chunk]
-            diff = q[:, None, :] - self.x_train[None, :, :]
-            diff *= diff
-            d2 = diff.sum(axis=2)
-            del diff
-            order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            for i in range(q.shape[0]):
-                idx = order[i]
-                dist = np.sqrt(d2[i, idx])
-                targets = self.y_train[idx]
-                if self.weights == "uniform":
-                    out[s + i] = targets.mean(axis=0)
-                else:
-                    exact = dist == 0.0
-                    if exact.any():
-                        out[s + i] = targets[exact].mean(axis=0)
-                    else:
-                        w = 1.0 / dist
-                        out[s + i] = (w[:, None] * targets).sum(axis=0) / w.sum()
-        return out
+        if X.ndim != 2 or X.shape[1] != self.x_train.shape[1]:
+            raise InvalidInputError(f"knn queries need {self.x_train.shape[1]} features, not shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise InvalidInputError("knn requires finite queries")
+        # a list of ranks keeps the (rows, k) shape at k = 1; nearest first
+        dist, idx = scipy.spatial.KDTree(self.x_train).query(X, k=list(range(1, self.k + 1)))
+        targets = self.y_train[idx]
+        if self.weights == "uniform":
+            return targets.mean(axis=1)
+        # a row with exact matches averages those alone, and never forms 1/0
+        exact = dist == 0.0
+        w = np.where(exact.any(axis=1, keepdims=True), exact, 1.0 / np.where(exact, 1.0, dist))
+        return (w[:, :, None] * targets).sum(axis=1) / w.sum(axis=1)[:, None]
 
     def to_jsonable(self) -> dict:
         return {
@@ -276,6 +260,8 @@ def fit_knn(X, Y, k: int, weights: str = "uniform") -> KNNModel:
     (1/d weights with an exact-match short-circuit when requested)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInputError("knn requires finite inputs")
     if Y.ndim == 1:
         Y = Y[:, None]
     if weights not in ("uniform", "distance"):
@@ -285,20 +271,23 @@ def fit_knn(X, Y, k: int, weights: str = "uniform") -> KNNModel:
     return KNNModel(x_train=X.copy(), y_train=Y.copy(), k=k, weights=weights)
 
 
+def _mlp_forward(params: dict, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations ``max(X W1 + b1, 0)`` and outputs ``Hid W2 + b2``."""
+    Hid = np.maximum(X @ params["W1"] + params["b1"], 0.0)
+    return Hid, Hid @ params["W2"] + params["b2"]
+
+
 def _mlp_forward_backward(params: dict, X: np.ndarray, Y: np.ndarray):
     """Loss (mean squared error over all entries) and analytic gradients for
     a one-hidden-layer ReLU network with linear outputs."""
-    W1, b1, W2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
-    Z = X @ W1 + b1
-    Hid = np.maximum(Z, 0.0)
-    P = Hid @ W2 + b2
+    Hid, P = _mlp_forward(params, X)
     err = P - Y
     loss = float((err * err).mean())
     g = 2.0 * err / err.size
     gW2 = Hid.T @ g
     gb2 = g.sum(axis=0)
-    gH = g @ W2.T
-    gH[Z <= 0.0] = 0.0
+    gH = g @ params["W2"].T
+    gH[Hid <= 0.0] = 0.0
     gW1 = X.T @ gH
     gb1 = gH.sum(axis=0)
     return loss, {"W1": gW1, "b1": gb1, "W2": gW2, "b2": gb2}
@@ -319,7 +308,8 @@ def _mlp_init(n_feat: int, hidden: int, n_out: int, rng: np.random.Generator) ->
 @dataclass(frozen=True)
 class MLPModel:
     """A trained network; ``lr_drops`` lists the epochs (1-based) after which
-    the step size was divided by 5."""
+    the step size was divided by 5, and ``converged`` is True when early
+    stopping ended training (False when ``max_iter`` did)."""
 
     params: dict
     hidden: int
@@ -327,11 +317,10 @@ class MLPModel:
     n_epochs: int
     history: tuple[float, ...]
     lr_drops: tuple[int, ...] = ()
+    converged: bool = False
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        Hid = np.maximum(X @ self.params["W1"] + self.params["b1"], 0.0)
-        return Hid @ self.params["W2"] + self.params["b2"]
+        return _mlp_forward(self.params, np.asarray(X, dtype=np.float64))[1]
 
     def to_jsonable(self) -> dict:
         return {
@@ -363,6 +352,8 @@ def fit_mlp(
     does."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInputError("mlp requires finite inputs")
     if Y.ndim == 1:
         Y = Y[:, None]
     n = X.shape[0]
@@ -380,8 +371,7 @@ def fit_mlp(
     step = 0
 
     def val_loss() -> float:
-        pred = np.maximum(x_val @ params["W1"] + params["b1"], 0.0) @ params["W2"] + params["b2"]
-        return float(((pred - y_val) ** 2).mean())
+        return float(((_mlp_forward(params, x_val)[1] - y_val) ** 2).mean())
 
     best = math.inf
     best_params = {k: p.copy() for k, p in params.items()}
@@ -393,6 +383,7 @@ def fit_mlp(
     best_train = math.inf
     lr_stall = 0
     lr_drops = []
+    converged = False
     for _ in range(max_iter):
         perm = rng.permutation(n_tr)
         epoch_losses = []
@@ -431,6 +422,7 @@ def fit_mlp(
         else:
             stall += 1
             if stall >= patience:
+                converged = True
                 break
     return MLPModel(
         params=best_params,
@@ -439,6 +431,7 @@ def fit_mlp(
         n_epochs=epochs_run,
         history=tuple(history),
         lr_drops=tuple(lr_drops),
+        converged=converged,
     )
 
 

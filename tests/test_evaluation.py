@@ -172,7 +172,7 @@ class TestDecodeFeatures:
         assert [(f["grid_index"], f["fold"]) for f in failures] == [(0, fold) for fold in range(5)]
         assert all("k=500" in f["reason"] for f in failures)
 
-    @pytest.mark.parametrize("model", ["lasso", "mlp", "ridge"])
+    @pytest.mark.parametrize("model", ["knn", "lasso", "mlp", "ridge"])
     def test_refit_convergence_in_manifest(self, model):
         rng = np.random.default_rng(14)
         features, targets = tasks_from_targets(rng, noise=0.4)
@@ -186,6 +186,9 @@ class TestDecodeFeatures:
         elif model == "mlp":
             assert stages["model_n_epochs"] == fitted.n_epochs
             assert stages["model_lr_drops"] == list(fitted.lr_drops)
+            assert stages["model_converged"] is fitted.converged
+            # the epoch cap (max_iter = 200) is the only other way training ends
+            assert fitted.converged or fitted.n_epochs == 200
         else:
             assert not any(key.startswith("model_") for key in stages)
 

@@ -1,6 +1,7 @@
 """Regressors, scaling, sequences, grid-search CV, and post-filtering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,12 +136,6 @@ class TestRidge:
         b = fit_ridge(X, 3.0 * Y, alpha=0.5).predict(X)
         assert np.abs(b - 3.0 * a).max() <= 1e-8 * max(1.0, np.abs(a).max())
 
-    def test_nonfinite_input_rejected(self):
-        X = np.zeros((10, 2))
-        X[0, 0] = np.nan
-        with pytest.raises(InvalidInputError):
-            fit_ridge(X, np.zeros((10, 1)), 1.0)
-
 
 def orthonormal_design(n, f, rng):
     """Zero-mean columns orthonormal under the empirical inner product:
@@ -218,14 +213,6 @@ class TestLasso:
         expected = np.sign(w_ls) * np.maximum(np.abs(w_ls) - alpha, 0.0)
         assert np.abs(model.weights - expected).max() <= 1e-6
 
-    def test_nonfinite_input_rejected(self):
-        X = np.random.default_rng(25).standard_normal((40, 3))
-        X[5, 1] = np.nan
-        with pytest.raises(InvalidInputError, match="lasso"):
-            fit_lasso(X, np.zeros((40, 1)), 0.1)
-        with pytest.raises(InvalidInputError, match="lasso"):
-            fit_lasso(np.zeros((40, 3)), np.full((40, 1), np.inf), 0.1)
-
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -264,6 +251,25 @@ class TestLasso:
         assert fit_ridge(X, Y, 0.1).n_iter == () and fit_ridge(X, Y, 0.1).converged == ()
 
 
+@pytest.mark.parametrize(
+    "kind, fit",
+    [
+        ("ridge", lambda X, Y: fit_ridge(X, Y, 1.0)),
+        ("lasso", lambda X, Y: fit_lasso(X, Y, 0.1)),
+        ("knn", lambda X, Y: fit_knn(X, Y, k=3)),
+        ("mlp", lambda X, Y: fit_mlp(X, Y, hidden=4, lr=0.01, max_iter=2)),
+    ],
+    ids=["ridge", "lasso", "knn", "mlp"],
+)
+def test_nonfinite_input_rejected(kind, fit):
+    X = np.random.default_rng(25).standard_normal((40, 3))
+    X[5, 1] = np.nan
+    with pytest.raises(InvalidInputError, match=kind):
+        fit(X, np.zeros((40, 1)))
+    with pytest.raises(InvalidInputError, match=kind):
+        fit(np.zeros((40, 3)), np.full((40, 1), np.inf))
+
+
 @pytest.mark.parametrize("fit", [fit_ridge, fit_lasso])
 @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
 def test_negative_or_non_finite_alpha_rejected(fit, alpha):
@@ -298,6 +304,27 @@ def test_bad_grid_value_rejected(kind, grid, key, bad):
     # a run config holding the grid fails on construction, before any data is read
     with pytest.raises(ConfigError, match=repr(key)):
         RunConfig(model=kind, grid=grid)
+
+
+def brute_force_knn(x_train, y_train, k, weights, queries):
+    """Reference KNN: every squared distance, a stable full argsort, and a
+    per-row weighting loop. Returns each query's neighbour indices, nearest
+    first, and the predictions."""
+    d2 = ((queries[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    out = np.empty((queries.shape[0], y_train.shape[1]))
+    for i, idx in enumerate(order):
+        dist = np.sqrt(d2[i, idx])
+        targets = y_train[idx]
+        exact = dist == 0.0
+        if weights == "uniform":
+            out[i] = targets.mean(axis=0)
+        elif exact.any():
+            out[i] = targets[exact].mean(axis=0)
+        else:
+            w = 1.0 / dist
+            out[i] = (w[:, None] * targets).sum(axis=0) / w.sum()
+    return order, out
 
 
 class TestKnn:
@@ -338,7 +365,7 @@ class TestKnn:
         with pytest.raises(InvalidSpecError):
             fit_knn(np.zeros((5, 2)), np.zeros((5, 1)), k=6)
 
-    def test_chunks_bound_the_difference_tensor(self, monkeypatch):
+    def test_predict_peak_memory_bounded(self):
         import tracemalloc
 
         rng = np.random.default_rng(27)
@@ -348,16 +375,61 @@ class TestKnn:
         model = fit_knn(X, Y, k=5, weights="distance")
         tracemalloc.start()
         try:
-            pred = model.predict(queries)
+            model.predict(queries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one chunk of at most 2e6 float64 entries (16 MB), not 40 x 1000 x 200
-        # (64 MB) as a chunk rule that ignores the feature count gives
+        # far below the 40 x 1000 x 200 difference tensor (64 MB) of a
+        # broadcast route; tracemalloc sees numpy's buffers but not the
+        # tree nodes the KD-tree allocates in C++
         assert peak <= 24e6
-        # every distance is the same per-row reduction in one chunk
-        monkeypatch.setattr(regression, "_KNN_CHUNK_ENTRIES", 10**12)
-        assert np.array_equal(model.predict(queries), pred)
+
+    def test_bad_query_rejected(self):
+        # a non-finite training row is rejected by test_nonfinite_input_rejected[knn]
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((30, 4))
+        Y = rng.standard_normal((30, 2))
+        model = fit_knn(X, Y, k=5, weights="uniform")
+        query = rng.standard_normal((3, 4))
+        query[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            model.predict(query)
+        with pytest.raises(InvalidInputError, match="4 features"):
+            model.predict(rng.standard_normal((3, 5)))
+        with pytest.raises(InvalidInputError, match="4 features"):
+            model.predict(rng.standard_normal(4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 40),
+        f=st.integers(1, 6),
+        n_out=st.integers(1, 3),
+        n_fresh=st.integers(0, 6),
+        n_copies=st.integers(0, 4),
+        k_rule=st.sampled_from(["one", "all", "any"]),
+        weights=st.sampled_from(["uniform", "distance"]),
+    )
+    def test_matches_brute_force(self, seed, n_train, f, n_out, n_fresh, n_copies, k_rule, weights):
+        # continuous designs, so no two distances tie; copies of training rows
+        # exercise the exact-match mask
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_train, f))
+        Y = rng.standard_normal((n_train, n_out))
+        queries = np.vstack([rng.standard_normal((n_fresh, f)), X[rng.integers(0, n_train, n_copies)]])
+        if queries.shape[0] == 0:
+            queries = X[:1]
+        k = {"one": 1, "all": n_train, "any": int(rng.integers(1, n_train + 1))}[k_rule]
+        order, expected = brute_force_knn(X, Y, k, weights, queries)
+        # warnings are errors, so an exact match must never compute 1/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # one-hot targets turn a uniform prediction into the neighbour set
+            sets = fit_knn(X, np.eye(n_train), k).predict(queries) != 0.0
+            pred = fit_knn(X, Y, k, weights).predict(queries)
+        for row, idx in zip(sets, order):
+            assert np.array_equal(np.flatnonzero(row), np.sort(idx))
+        assert np.abs(pred - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestMlp:
@@ -412,6 +484,22 @@ class TestMlp:
         assert drops[0] >= 11 and drops[-1] <= model.n_epochs
         assert all(b - a >= 10 for a, b in zip(drops, drops[1:]))
         assert fit_mlp(X, Y, hidden=8, lr=0.1, max_iter=5, seed=0).lr_drops == ()
+
+    def test_converged_means_early_stopping_fired(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((300, 4))
+        Y = rng.standard_normal((300, 2))  # no signal: the validation loss stalls
+        model = fit_mlp(X, Y, hidden=8, lr=0.1, patience=5, seed=0)
+        stopped = model.n_epochs
+        assert model.converged and stopped < 200
+        # the last `patience` epochs did not improve on the best validation loss
+        assert min(model.history[-5:]) >= min(model.history[:-5]) - 1e-12
+        # capped exactly where patience runs out: still converged
+        capped = fit_mlp(X, Y, hidden=8, lr=0.1, max_iter=stopped, patience=5, seed=0)
+        assert capped.n_epochs == stopped and capped.converged
+        # capped one epoch earlier: the cap ended training
+        capped = fit_mlp(X, Y, hidden=8, lr=0.1, max_iter=stopped - 1, patience=5, seed=0)
+        assert capped.n_epochs == stopped - 1 and not capped.converged
 
     def test_learns_linear_map(self):
         rng = np.random.default_rng(18)
