@@ -8,6 +8,7 @@ and exits 0 on success, 2 on a usage/config problem, 1 on a data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -48,19 +49,10 @@ def _synth_config(args) -> SynthConfig:
     raw = _load_config_dict(getattr(args, "config", None))
     if args.seed is not None:
         raw["seed"] = args.seed
-    import dataclasses
-
     known = {f.name for f in dataclasses.fields(SynthConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-    raw["tasks"] = tuple(tuple(t) for t in raw.get("tasks", SynthConfig.tasks))
-    if "centers_edc" in raw:
-        raw["centers_edc"] = tuple(tuple(c) for c in raw["centers_edc"])
-    if "centers_fds" in raw:
-        raw["centers_fds"] = tuple(tuple(c) for c in raw["centers_fds"])
-    if "carrier_band" in raw:
-        raw["carrier_band"] = tuple(raw["carrier_band"])
     try:
         return SynthConfig(**raw)
     except (TypeError, ValueError) as exc:

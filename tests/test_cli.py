@@ -47,6 +47,12 @@ class TestSynth:
         bad.write_text(json.dumps({"durration": 3}))
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_bad_synth_value_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"spread": 0}))
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluate:
     def test_smoke_metrics_json(self, dataset):

@@ -1,11 +1,116 @@
 """Synthetic dataset generator: determinism, decodability, spectra."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from emgdecode import RunConfig, SynthConfig, generate_task, generate_tasks, run_pipeline
+from emgdecode import (
+    ConfigError,
+    RunConfig,
+    SynthConfig,
+    generate_task,
+    generate_tasks,
+    run_pipeline,
+)
+from emgdecode import synth
 from emgdecode.blocks import plan_windows_seconds, window_sumsq
+from emgdecode.io import save_json
+from emgdecode.signal_core import (
+    FilterSpec,
+    SignalMatrix,
+    Trajectory,
+    apply_filtfilt,
+    default_grids,
+    design_butterworth,
+)
 from emgdecode.synth import DEFAULT_TASKS
+
+
+def loop_generate_task(cfg: SynthConfig, task_index: int):
+    """Reference generator: the per-finger angle loops and the per-source
+    outer-product adds that ``generate_task`` replaced with broadcasts and one
+    mixing matmul. It draws the same random numbers in the same order."""
+    active = cfg.tasks[task_index]
+    rng = synth._task_rng(cfg, task_index)
+    params = []
+    for d in range(5):
+        freqs = rng.uniform(0.1, 1.2, size=3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        params.append((d in active, freqs, phases))
+
+    def angles_at(t):
+        out = np.empty((t.shape[0], 5))
+        amp = cfg.amplitude_deg
+        for d, (is_active, freqs, phases) in enumerate(params):
+            if is_active:
+                out[:, d] = amp * (1.0 - np.cos(2.0 * math.pi * cfg.movement_hz * t)) / 2.0
+            else:
+                wiggle = np.zeros_like(t)
+                for f, ph in zip(freqs, phases):
+                    wiggle += np.sin(2.0 * math.pi * f * t + ph)
+                out[:, d] = (cfg.coupling * amp / 3.0) * wiggle
+        return out
+
+    n_kin = int(round(cfg.duration_s * cfg.fs_kin))
+    traj = Trajectory(angles=angles_at(np.arange(n_kin) / cfg.fs_kin), fs_kin=cfg.fs_kin)
+    n_sig = int(round(cfg.duration_s * cfg.fs))
+    t_sig = np.arange(n_sig) / cfg.fs
+    theta = angles_at(t_sig) / cfg.amplitude_deg
+
+    grids = default_grids()
+    coeffs = design_butterworth(FilterSpec("bandpass", order=4, band=cfg.carrier_band), cfg.fs)
+    data = np.zeros((n_sig, 128))
+    centers = (cfg.centers_edc, cfg.centers_fds)
+    for d in range(5):
+        for gi, grid in enumerate(grids):
+            carrier = apply_filtfilt(coeffs, rng.standard_normal(n_sig))
+            carrier /= carrier.std()
+            envelope = (1.0 - theta[:, d]) if grid.name == "EDC" else theta[:, d]
+            foot = synth._footprint(grid, centers[gi][d], cfg.spread)
+            sl = slice(grid.channel_offset, grid.channel_offset + grid.n_channels)
+            data[:, sl] += (envelope * carrier)[:, None] * foot[None, :]
+    if cfg.effort > 0:
+        grip = theta.mean(axis=1)
+        for grid in grids:
+            carrier = apply_filtfilt(coeffs, rng.standard_normal(n_sig))
+            carrier /= carrier.std()
+            envelope = (1.0 - grip) if grid.name == "EDC" else grip
+            foot = synth._footprint(grid, (3.5, 3.5), cfg.effort_spread)
+            sl = slice(grid.channel_offset, grid.channel_offset + grid.n_channels)
+            data[:, sl] += (cfg.effort * envelope * carrier)[:, None] * foot[None, :]
+    if cfg.noise > 0:
+        data += cfg.noise * rng.standard_normal(data.shape)
+    if cfg.powerline > 0:
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        data += cfg.powerline * np.sin(2.0 * math.pi * cfg.powerline_hz * t_sig + phase)[:, None]
+    return SignalMatrix(data=data, fs=cfg.fs, grids=grids), traj
+
+
+def field_by_field_jsonable(cfg: SynthConfig) -> dict:
+    """The explicit field list ``SynthConfig.to_jsonable`` used to spell out."""
+    scalars = (
+        "seed", "fs", "fs_kin", "movement_hz", "duration_s", "amplitude_deg", "spread",
+        "noise", "powerline", "powerline_hz", "coupling", "effort", "effort_spread",
+    )
+    out = {name: getattr(cfg, name) for name in scalars}
+    out["carrier_band"] = list(cfg.carrier_band)
+    for name in ("tasks", "centers_edc", "centers_fds"):
+        out[name] = [list(v) for v in getattr(cfg, name)]
+    return out
+
+
+CUSTOM = SynthConfig(
+    seed=4,
+    fs=1500.0,
+    duration_s=2.5,
+    spread=0.9,
+    effort=1.5,
+    carrier_band=(30.0, 400.0),
+    tasks=((0, 4), (2,), (1, 3)),
+    centers_edc=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0), (5.0, 5.0)),
+)
 
 
 class TestStructure:
@@ -108,3 +213,80 @@ class TestDecodability:
         with_notch = run_pipeline(small_config, iter(small_tasks))
         without = run_pipeline(small_config.replace(notch_hz=None), iter(small_tasks))
         assert with_notch.metrics.rmse_vw < without.metrics.rmse_vw
+
+
+class TestMixingOracle:
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"effort": 0.0},
+            {"noise": 0.0},
+            {"powerline": 0.0},
+            {"noise": 0.0, "powerline": 0.0, "effort": 0.0},
+            {"tasks": ((0, 4), (3,), (0, 1, 2, 3, 4))},
+        ],
+        ids=["default", "effort0", "noise0", "powerline0", "sources_only", "custom_tasks"],
+    )
+    def test_matches_outer_product_loop(self, seed, overrides):
+        self.check(SynthConfig(seed=seed, duration_s=3.0, **overrides), tasks=(0, 2))
+
+    def test_custom_config_matches_loop(self):
+        self.check(CUSTOM, tasks=range(len(CUSTOM.tasks)))
+
+    @staticmethod
+    def check(cfg, tasks):
+        for task in tasks:
+            x, traj = generate_task(cfg, task)
+            ref_x, ref_traj = loop_generate_task(cfg, task)
+            assert np.array_equal(traj.angles, ref_traj.angles)
+            assert np.abs(x.data - ref_x.data).max() <= 1e-14 * np.abs(ref_x.data).max()
+
+
+class TestConfig:
+    def test_json_bytes_unchanged(self, tmp_path):
+        save_json(CUSTOM.to_jsonable(), tmp_path / "new.json")
+        save_json(field_by_field_jsonable(CUSTOM), tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("cfg", [SynthConfig(), CUSTOM], ids=["default", "custom"])
+    def test_json_round_trip_equal_and_hashable(self, cfg):
+        back = SynthConfig(**json.loads(json.dumps(cfg.to_jsonable())))
+        assert back == cfg
+        assert hash(back) == hash(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("noise", -1.0),
+            ("powerline", -0.5),
+            ("coupling", -0.1),
+            ("effort", -2.0),
+            ("spread", 0.0),
+            ("spread", -1.2),
+            ("effort_spread", 0.0),
+            ("amplitude_deg", 0.0),
+            ("movement_hz", 0.0),
+            ("fs", -1.0),
+            ("fs_kin", 0.0),
+            ("duration_s", 0.0),
+            ("duration_s", float("nan")),
+            ("powerline_hz", 5000.0),
+            ("carrier_band", (20.0, 2000.0)),
+            ("carrier_band", (0.0, 450.0)),
+            ("carrier_band", (20.0, 450.0, 500.0)),
+            ("tasks", ((7,),)),
+            ("tasks", ((1,), (-1,))),
+            ("tasks", ((1,), ())),
+            ("tasks", ()),
+            ("centers_edc", ((1.0, 5.5), (1.5, 4.0), (2.5, 5.5), (3.5, 4.5))),
+            ("centers_fds", ((2.0, 6.0), (2.5, 4.5), (3.5, 6.0), (4.5, 5.0), (8.5, 6.0))),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigError) as info:
+            SynthConfig(**{field: value})
+        assert f"SynthConfig.{field} " in str(info.value)
+        assert repr(value) in str(info.value)
