@@ -36,6 +36,7 @@ from .signal_core import (
     assemble_split,
     crop,
     design_butterworth,
+    filter_workers,
     filtfilt,
     require_finite,
     resample_targets,
@@ -99,8 +100,7 @@ def featurize(
         for field, value in layout.items():
             if value != first[field]:
                 raise AlignmentError(f"task {i}: {field} {value!r} differs from task 0's {first[field]!r}")
-        for coeffs in filters:
-            x = filtfilt(x, coeffs)
+        x = filtfilt(x, *filters)
         if config.crop_s is not None:
             x = crop(x, config.crop_s[0], config.crop_s[1])
         window_plan = plan_windows_seconds(x.n_samples, x.fs, config.window_s, config.overlap_s)
@@ -270,7 +270,12 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
 def _versions() -> dict:
     from . import __version__
 
-    return {"emgdecode": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {
+        "emgdecode": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "filter_workers": filter_workers(),
+    }
 
 
 # ---------------------------------------------------------------------------

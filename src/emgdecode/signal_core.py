@@ -9,6 +9,9 @@ read-only between threads.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -216,9 +219,64 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
     return sps.sosfiltfilt(coeffs.sos, values, axis=axis, padtype="odd", padlen=padlen)
 
 
-def filtfilt(x: SignalMatrix, coeffs: IIRCoefficients) -> SignalMatrix:
-    """Zero-phase ``coeffs`` along every channel's row; the result is stored channel-major."""
-    return replace(x, data=np.ascontiguousarray(apply_filtfilt(coeffs, x.data.T, axis=1)).T)
+# One process-wide pool, created on first use and dropped in a forked child,
+# whose copy would wait forever on threads that the fork did not copy.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _filter_pool() -> tuple[int, ThreadPoolExecutor]:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:  # platforms without CPU affinity
+                workers = os.cpu_count() or 1
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="emgdecode-filtfilt"))
+        return _pool
+
+
+def filter_workers() -> int:
+    """Threads ``filtfilt`` spreads channel rows over: one per core this process may run on."""
+    return _filter_pool()[0]
+
+
+def filtfilt(x: SignalMatrix, *coeffs: IIRCoefficients) -> SignalMatrix:
+    """Zero-phase filtering of every channel by each of ``coeffs`` in turn.
+
+    Chunks of about 2 MB of channel rows, at least one per worker, are
+    filtered on the pool's threads (scipy releases the GIL) straight into one
+    C-contiguous (C, S) buffer, returned as the usual (S, C) view. Each
+    channel is filtered on its own, so the result does not depend on the
+    chunking and equals chained ``apply_filtfilt(..., axis=0)`` bit for bit.
+    """
+    if not coeffs:
+        raise InvalidSpecError("filtfilt needs at least one filter")
+    rows = x.data.T
+    n_chan, n_samp = rows.shape
+    workers, pool = _filter_pool()
+    n_chunks = max(1, min(n_chan, max(workers, round(n_chan * n_samp / 2**18))))
+    bounds = [n_chan * k // n_chunks for k in range(n_chunks + 1)]
+    out = np.empty((n_chan, n_samp))
+
+    def filter_chunk(lo: int, hi: int) -> None:
+        y = rows[lo:hi]
+        for c in coeffs:
+            y = apply_filtfilt(c, y, axis=1)
+        out[lo:hi] = y
+
+    list(pool.map(filter_chunk, bounds[:-1], bounds[1:]))  # re-raises a worker's error
+    return replace(x, data=out.T)
 
 
 def crop(x: SignalMatrix, t0: float, t1: float) -> SignalMatrix:

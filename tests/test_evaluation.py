@@ -1,6 +1,7 @@
 """Metrics, pipeline-level behavior, sweeps, SFBS, and contribution maps."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,9 @@ class TestPipeline:
         assert full.y_pred.tobytes() == model_stage.y_pred.tobytes()
         assert full.manifest["stages"]["hyperparams"] == model_stage.manifest["stages"]["hyperparams"]
         assert model_stage.manifest.keys() == {"config", "versions", "stages", "metrics"}
+        for manifest in (full.manifest, model_stage.manifest):
+            assert manifest["versions"].keys() == {"emgdecode", "numpy", "scipy", "filter_workers"}
+            assert manifest["versions"]["filter_workers"] == len(os.sched_getaffinity(0))
 
     def test_window_count_of_every_task_recorded(self):
         short = generate_tasks(SynthConfig(seed=5, duration_s=2.0, tasks=((1,),)))[0]
@@ -229,7 +233,9 @@ class TestPipeline:
         assert counts[0] < counts[1]
         assert featurize(config, [short, long])[2]["n_windows"] == counts
         assert run_pipeline(config, [short, long]).manifest["stages"]["n_windows"] == counts
-        assert run_sfbs(config, [short, long])[3]["stages"]["n_windows"] == counts
+        sfbs_manifest = run_sfbs(config, [short, long])[3]
+        assert sfbs_manifest["stages"]["n_windows"] == counts
+        assert sfbs_manifest["versions"]["filter_workers"] == len(os.sched_getaffinity(0))
 
     def test_stage_errors_are_tagged(self, small_tasks):
         from emgdecode import PipelineError

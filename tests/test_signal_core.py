@@ -1,9 +1,16 @@
 """Filtering, cropping, target resampling, and temporal splitting."""
 
 import math
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgdecode import (
     FilterSpec,
@@ -21,6 +28,7 @@ from emgdecode import (
     frequency_response,
     resample_targets,
 )
+from emgdecode import signal_core
 from emgdecode.blocks import plan_windows
 from emgdecode.signal_core import apply_filtfilt, assemble_split, split_chunks
 
@@ -36,6 +44,27 @@ def make_signal(data, fs=FS):
     if data.ndim == 1:
         data = data[:, None]
     return SignalMatrix(data=data, fs=fs, grids=single_grid(data.shape[1]))
+
+
+CASCADE_FILTERS = {
+    "bandpass": design_butterworth(FilterSpec("bandpass", 4, (10.0, 500.0)), FS),
+    "bandpass2": design_butterworth(FilterSpec("bandpass", 2, (20.0, 450.0)), FS),
+    "notch": design_butterworth(FilterSpec("notch", band=50.0, q=30.0), FS),
+    "lowpass": design_butterworth(FilterSpec("lowpass", 4, 100.0), FS),
+}
+
+
+@contextmanager
+def one_worker_pool():
+    """``filtfilt`` on a single-thread pool, as on a one-core machine."""
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(1) as pool:
+        mp.setattr(signal_core, "_pool", (1, pool))
+        yield
+
+
+def _filter_in_child(x, coeffs, expected):
+    if not np.array_equal(filtfilt(x, coeffs).data, expected):
+        raise SystemExit(3)
 
 
 class TestDesignButterworth:
@@ -90,9 +119,16 @@ class TestFiltfilt:
         assert np.all(y == 0.0)
 
     def test_too_short_signal_rejected(self):
+        # raised by apply_filtfilt inside a pool worker; the pool keeps working
         coeffs = design_butterworth(FilterSpec("bandpass", 4, (10.0, 500.0)), FS)
-        with pytest.raises(InvalidInputError):
-            filtfilt(make_signal(np.ones(24)), coeffs)  # needs > 3 * 8 poles
+        for n_channels in (1, 6):
+            with pytest.raises(InvalidInputError):
+                filtfilt(make_signal(np.ones((24, n_channels))), coeffs)  # needs > 3 * 8 poles
+            assert filtfilt(make_signal(np.zeros((25, n_channels))), coeffs).data.shape == (25, n_channels)
+
+    def test_no_filter_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            filtfilt(make_signal(np.ones(100)))
 
     def test_channel_major_result_equals_axis0_filtering(self):
         # each channel is filtered along its own row; the result is stored
@@ -105,6 +141,84 @@ class TestFiltfilt:
         assert np.array_equal(y.data, apply_filtfilt(coeffs, raw, axis=0))
         again = filtfilt(y, coeffs)
         assert np.array_equal(again.data, apply_filtfilt(coeffs, apply_filtfilt(coeffs, raw), axis=0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_channels=st.integers(1, 130),
+        extra=st.integers(1, 3000),
+        layout=st.sampled_from(["C", "F", "cropped"]),
+        kinds=st.lists(st.sampled_from(list(CASCADE_FILTERS)), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_result_equals_serial_axis0_filtering(self, n_channels, extra, layout, kinds, seed):
+        # lengths start just above the longest padlen of the cascade; the
+        # real pool and a one-worker pool chunk the rows differently
+        coeffs = [CASCADE_FILTERS[kind] for kind in kinds]
+        n = 3 * max(c.n_poles for c in coeffs) + extra
+        raw = np.random.default_rng(seed).standard_normal((n + 7, n_channels))
+        if layout == "C":
+            raw = raw[:n].copy()
+        elif layout == "F":
+            raw = np.asfortranarray(raw[:n])
+        else:  # a crop of a channel-major buffer, as ``crop`` leaves it
+            raw = np.asfortranarray(raw)[3 : n + 3]
+        expected = raw
+        for c in coeffs:
+            expected = apply_filtfilt(c, expected, axis=0)
+        pooled = filtfilt(make_signal(raw), *coeffs).data
+        with one_worker_pool():
+            serial = filtfilt(make_signal(raw), *coeffs).data
+        assert pooled.T.flags.c_contiguous and serial.T.flags.c_contiguous
+        assert np.array_equal(pooled, expected)
+        assert np.array_equal(serial, expected)
+
+    def test_concurrent_callers_share_the_pool(self):
+        # callers racing to create the pool and filling it at once each get
+        # their own rows back
+        coeffs = CASCADE_FILTERS["bandpass"]
+        rng = np.random.default_rng(5)
+        signals = [make_signal(rng.standard_normal((3000, 40))) for _ in range(6)]
+        expected = [apply_filtfilt(coeffs, x.data, axis=0) for x in signals]
+        results = [None] * len(signals)
+
+        def run(i):
+            results[i] = filtfilt(signals[i], coeffs).data
+
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signal_core, "_pool", None)
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(signals))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(interval)
+                if signal_core._pool is not None:
+                    signal_core._pool[1].shutdown()
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_child_filters(self):
+        # the parent's pool has live threads; a forked child must not reuse it
+        coeffs = CASCADE_FILTERS["bandpass"]
+        x = make_signal(np.random.default_rng(9).standard_normal((3000, 12)))
+        expected = filtfilt(x, coeffs).data
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_filter_in_child, args=(x, coeffs, expected))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in filtfilt")
+        assert child.exitcode == 0
 
     def test_linearity(self):
         coeffs = design_butterworth(FilterSpec("bandpass", 4, (10.0, 500.0)), FS)
