@@ -62,17 +62,6 @@ class DecompositionModel:
     eigenvalues: np.ndarray | None = None
     objective: tuple[float, ...] = field(default=())
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n_comp": self.n_comp,
-            "components": self.components.tolist(),
-            "mean": self.mean.tolist(),
-        }
-        if self.eigenvalues is not None:
-            out["eigenvalues"] = self.eigenvalues.tolist()
-        return out
-
 
 def fit_pca(rms_train, n_comp: int) -> DecompositionModel:
     """PCA of the channel covariance (mean-centered), eigenvalues descending.

@@ -1,4 +1,4 @@
-"""Command-line entry points: synth, extract, train, evaluate, sweep, sfbs.
+"""Command-line entry points: synth, evaluate, sweep, sfbs.
 
 Every command reads an optional JSON config (``--config``), applies flag
 overrides on top, writes its outputs plus a ``manifest.json`` into ``--out``,
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io
 from .config import SWEEP_RANGES, RunConfig
 from .errors import ConfigError, EmgDecodeError, InvalidSpecError
-from .evaluation import featurize, run_pipeline, run_sfbs, sweep
+from .evaluation import run_pipeline, run_sfbs, sweep
 from .synth import SynthConfig, iter_tasks
 
 USAGE_EXIT = 2
@@ -37,12 +37,18 @@ def _load_config_dict(path: str | None) -> dict:
     return raw
 
 
-def _run_config(args, **overrides) -> RunConfig:
-    raw = _load_config_dict(getattr(args, "config", None))
-    for key, value in overrides.items():
+def _run_config(args) -> RunConfig:
+    """The config file with the command's flags laid over it. Every command
+    that takes a run config reads a dataset."""
+    raw = _load_config_dict(args.config)
+    for key in ("dataset", "feature", "model", "seed", "out"):
+        value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
-    return RunConfig.from_dict(raw)
+    config = RunConfig.from_dict(raw)
+    if config.dataset is None:
+        raise ConfigError(f"{args.command} requires --dataset (or a dataset entry in the config)")
+    return config
 
 
 def _synth_config(args) -> SynthConfig:
@@ -72,52 +78,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    config = _run_config(
-        args, dataset=args.dataset, feature=args.feature, seed=args.seed, out=args.out
-    )
-    if config.dataset is None:
-        raise ConfigError("extract requires --dataset (or a dataset entry in the config)")
-    if config.feature in ("pca", "nmf"):
-        raise ConfigError(
-            "extract writes raw per-task features; pca/nmf are fit inside evaluate/train"
-        )
-    out = Path(args.out)
-    t0 = time.perf_counter()
-    features, _, _ = featurize(config)
-    for i, tensor in enumerate(features):
-        io.save_features_binary(tensor, out / f"task_{i:02d}_features")
-    io.save_json(
-        {
-            "command": "extract",
-            "config": config.to_dict(),
-            "n_tasks": len(features),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-        out / "manifest.json",
-    )
-    print(f"extracted {config.feature} features for {len(features)} tasks into {out}")
-    return 0
-
-
-def _pipeline_command(args, command: str) -> int:
-    config = _run_config(
-        args,
-        dataset=args.dataset,
-        feature=args.feature,
-        model=args.model,
-        seed=args.seed,
-        out=args.out,
-    )
-    if config.dataset is None:
-        raise ConfigError(f"{command} requires --dataset (or a dataset entry in the config)")
+def cmd_evaluate(args) -> int:
+    config = _run_config(args)
     result = run_pipeline(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = dict(result.manifest)
-    manifest["command"] = command
-    if command == "train":
-        io.save_json(result.model.to_jsonable(), out / "model.json")
+    manifest["command"] = "evaluate"
     io.save_json(result.metrics.to_dict(), out / "metrics.json")
     io.save_json(manifest, out / "manifest.json")
     n_comp = manifest["stages"].get("n_components")
@@ -127,25 +94,8 @@ def _pipeline_command(args, command: str) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    return _pipeline_command(args, "train")
-
-
-def cmd_evaluate(args) -> int:
-    return _pipeline_command(args, "evaluate")
-
-
 def cmd_sweep(args) -> int:
-    config = _run_config(
-        args,
-        dataset=args.dataset,
-        feature=args.feature,
-        model=args.model,
-        seed=args.seed,
-        out=args.out,
-    )
-    if config.dataset is None:
-        raise ConfigError("sweep requires --dataset (or a dataset entry in the config)")
+    config = _run_config(args)
     if args.param not in SWEEP_RANGES:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEP_RANGES)}")
     t0 = time.perf_counter()
@@ -168,9 +118,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sfbs(args) -> int:
-    config = _run_config(args, dataset=args.dataset, seed=args.seed, out=args.out)
-    if config.dataset is None:
-        raise ConfigError("sfbs requires --dataset (or a dataset entry in the config)")
+    config = _run_config(args)
     result, maps, plan, manifest = run_sfbs(config, alpha=args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,21 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, dataset=False)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("extract", help="write per-task feature tensors")
-    common(p)
-    p.add_argument("--feature", default=None, help="mld-bfm | rms | mav-wl")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="fit a regressor and save the model")
-    common(p)
-    p.add_argument("--feature", default=None)
-    p.add_argument("--model", default=None, help="mlp | ridge | lasso | knn")
-    p.set_defaults(func=cmd_train)
-
     p = sub.add_parser("evaluate", help="run the full pipeline and save metrics")
     common(p)
-    p.add_argument("--feature", default=None)
-    p.add_argument("--model", default=None)
+    p.add_argument("--feature", default=None, help="mld-bfm | rms | mav-wl | pca | nmf")
+    p.add_argument("--model", default=None, help="mlp | ridge | lasso | knn")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="single-parameter sensitivity sweep")

@@ -8,10 +8,12 @@ sequences.
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidSpecError
-from .regression import RegressorSpec
+from .regression import RegressorSpec, _is_real
 
 FEATURE_KINDS = ("mld-bfm", "rms", "mav-wl", "pca", "nmf")
 MODEL_KINDS = ("mlp", "ridge", "lasso", "knn")
@@ -28,6 +30,42 @@ SWEEP_FIELDS = {
     "block_step": "block_step",
     "window": "window_s",
     "n_win": "n_win",
+}
+
+
+def _is_int(v, low: int) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low
+
+
+def _is_span(v) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_real, v)) and 0 <= v[0] < v[1]
+
+
+_PATH = ("None or a path", lambda v: v is None or isinstance(v, (str, os.PathLike)))
+_COUNT = ("an int >= 1", lambda v: _is_int(v, 1))
+_POSITIVE = ("a finite real > 0", lambda v: _is_real(v) and v > 0)
+
+# field -> (what a value must be, its test); ``grid`` is checked by RegressorSpec.
+# Limits that depend on the data (grid size, task duration) are run-time errors.
+_FIELD_RULES = {
+    "dataset": _PATH,
+    "feature": (f"one of {FEATURE_KINDS}", lambda v: v in FEATURE_KINDS),
+    "model": (f"one of {MODEL_KINDS}", lambda v: v in MODEL_KINDS),
+    "block_size": _COUNT,
+    "block_step": _COUNT,
+    "window_s": _POSITIVE,
+    "overlap_s": ("a finite real >= 0", lambda v: _is_real(v) and v >= 0),
+    "n_win": _COUNT,
+    "split_ratio": ("a finite real in (0, 1)", lambda v: _is_real(v) and 0 < v < 1),
+    "seed": ("an int >= 0", lambda v: _is_int(v, 0)),
+    "out": _PATH,
+    "n_components": ("None or an int >= 1", lambda v: v is None or _is_int(v, 1)),
+    "crop_s": ("None or (start, end) with 0 <= start < end", lambda v: v is None or _is_span(v)),
+    "band_hz": ("(low, high) with 0 < low < high", lambda v: _is_span(v) and v[0] > 0),
+    "band_order": _COUNT,
+    "notch_hz": ("None or a finite real > 0", lambda v: v is None or (_is_real(v) and v > 0)),
+    "notch_q": _POSITIVE,
+    "postfilter_hz": _POSITIVE,
 }
 
 
@@ -54,18 +92,17 @@ class RunConfig:
     postfilter_hz: float = 5.0
 
     def __post_init__(self):
-        if self.feature not in FEATURE_KINDS:
-            raise ConfigError(f"unknown feature kind {self.feature!r}; choose from {FEATURE_KINDS}")
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.model!r}; choose from {MODEL_KINDS}")
+        for name, (rule, ok) in _FIELD_RULES.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"RunConfig.{name} must be {rule}, got {getattr(self, name)!r}")
+        if not self.overlap_s < self.window_s:
+            raise ConfigError(
+                f"RunConfig.overlap_s must be < window_s = {self.window_s!r}, got {self.overlap_s!r}"
+            )
         try:
             RegressorSpec(kind=self.model, grid=self.grid)
         except InvalidSpecError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ConfigError("split_ratio must lie in (0, 1)")
-        if self.n_win < 1:
-            raise ConfigError("n_win must be >= 1")
         if self.crop_s is not None:
             object.__setattr__(self, "crop_s", tuple(self.crop_s))
         object.__setattr__(self, "band_hz", tuple(self.band_hz))

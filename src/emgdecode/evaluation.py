@@ -309,7 +309,9 @@ def sweep(
     values: Sequence | None = None,
 ) -> SweepTable:
     """One pipeline run per value of a single parameter, everything else
-    fixed at the control settings. A failing cell is recorded, not fatal.
+    fixed at the control settings. Every cell's config is built first, so an
+    invalid value raises ``ConfigError`` before any cell runs; a cell that
+    fails on the data is recorded, not fatal.
 
     ``tasks``, read once into a list, are the (SignalMatrix, Trajectory)
     pairs of every cell; when omitted the config's dataset is re-read per cell.
@@ -320,9 +322,9 @@ def sweep(
     field = SWEEP_FIELDS[param]
     tasks = None if tasks is None else list(tasks)
     header = ("param", "value", "status", "r2_vw", "rmse_vw", "mae_vw", "r_vw")
+    configs = [config.replace(**{field: value}) for value in sweep_values]
     rows = []
-    for value in sweep_values:
-        cfg = config.replace(**{field: value})
+    for value, cfg in zip(sweep_values, configs):
         try:
             result = run_pipeline(cfg, tasks)
             m = result.metrics

@@ -1,5 +1,5 @@
 """File formats: raw binary signals with JSON sidecars, trajectory CSVs,
-binary feature tensors, and dataset directories.
+and dataset directories.
 
 Signals are stored as little-endian float32, row-major (sample-major), with
 a sidecar header ``{fs, n_samples, n_channels, grids, dtype: "f32le"}``.
@@ -19,7 +19,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .descriptors import FeatureTensor
 from .errors import InvalidInputError
 from .signal_core import GridLayout, SignalMatrix, Trajectory
 
@@ -48,6 +47,16 @@ def save_json(obj, path) -> None:
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _require_keys(obj, keys: tuple[str, ...], where) -> dict:
+    """``obj`` if it is a JSON object holding ``keys``; else an error naming ``where``."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise InvalidInputError(f"{where}: missing key {key!r}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +90,21 @@ def save_signal(x: SignalMatrix, base) -> tuple[Path, Path]:
 
 def load_signal(base) -> SignalMatrix:
     base = Path(base)
-    hdr = load_json(base.with_suffix(".json"))
-    if hdr.get("dtype") != "f32le":
-        raise InvalidInputError(f"unsupported signal dtype {hdr.get('dtype')!r}")
+    hdr_path = base.with_suffix(".json")
+    hdr = _require_keys(load_json(hdr_path), ("fs", "n_samples", "n_channels", "grids", "dtype"), hdr_path)
+    if hdr["dtype"] != "f32le":
+        raise InvalidInputError(f"{hdr_path}: unsupported signal dtype {hdr['dtype']!r}")
     raw = np.fromfile(base.with_suffix(".f32"), dtype="<f4")
     shape = (hdr["n_samples"], hdr["n_channels"])
     if raw.size != shape[0] * shape[1]:
         raise InvalidInputError(
-            f"signal payload has {raw.size} values, header promises {shape[0] * shape[1]}"
+            f"{base.with_suffix('.f32')}: signal payload has {raw.size} values, "
+            f"header promises {shape[0] * shape[1]}"
         )
+    grid_keys = ("name", "n_rows", "n_cols", "channel_offset")
     grids = tuple(
-        GridLayout(g["name"], g["n_rows"], g["n_cols"], g["channel_offset"])
-        for g in hdr["grids"]
+        GridLayout(*(_require_keys(g, grid_keys, f"{hdr_path} grid {i}")[k] for k in grid_keys))
+        for i, g in enumerate(hdr["grids"])
     )
     return SignalMatrix(data=raw.reshape(shape).astype(np.float64), fs=hdr["fs"], grids=grids)
 
@@ -116,64 +128,41 @@ def save_trajectory(traj: Trajectory, path) -> Path:
 def load_trajectory(path) -> Trajectory:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "t":
-            raise InvalidInputError("trajectory CSV must start with a 't' column")
+            raise InvalidInputError(f"{path}: trajectory CSV must start with a 't' column")
         labels = tuple(header[1:])
         times, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            rows.append([float(v) for v in row[1:]])
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                times.append(float(row[0]))
+                rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from exc
     if len(rows) < 2:
-        raise InvalidInputError("trajectory CSV needs at least two rows")
+        raise InvalidInputError(f"{path}: trajectory CSV needs at least two rows")
     # Trajectory keeps no time offset or per-sample stamps, so the stamps
     # must be exactly 0, dt, 2 dt, ... for the angles to keep their times.
     t = np.asarray(times)
     step = (t[-1] - t[0]) / (len(t) - 1)
     if not step > 0:
-        raise InvalidInputError(f"trajectory time stamps must increase (first {times[0]!r}, last {times[-1]!r})")
+        raise InvalidInputError(
+            f"{path}: trajectory time stamps must increase (first {times[0]!r}, last {times[-1]!r})"
+        )
     expected = np.arange(len(t)) * step
     bad = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * step))
     if bad.size:
         k = bad[0]
         raise InvalidInputError(
-            f"trajectory time stamps must start at 0 and be uniformly spaced: "
+            f"{path}: trajectory time stamps must start at 0 and be uniformly spaced: "
             f"row {k} has t={times[k]!r}, expected {float(expected[k])!r}"
         )
     fs_kin = (len(t) - 1) / (t[-1] - t[0])
     return Trajectory(angles=np.asarray(rows), fs_kin=float(fs_kin), labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# feature tensors
-
-
-def save_features_binary(tensor: FeatureTensor, base) -> tuple[Path, Path]:
-    """Binary f32le payload plus JSON sidecar with shape and column names."""
-    base = Path(base)
-    bin_path = base.with_suffix(".f32")
-    hdr_path = base.with_suffix(".json")
-    _atomic_bytes(bin_path, np.ascontiguousarray(tensor.values, dtype="<f4").tobytes())
-    save_json(
-        {
-            "n_windows": tensor.n_windows,
-            "n_features": tensor.n_features,
-            "columns": list(tensor.columns),
-            "dtype": "f32le",
-        },
-        hdr_path,
-    )
-    return bin_path, hdr_path
-
-
-def load_features_binary(base) -> FeatureTensor:
-    base = Path(base)
-    hdr = load_json(base.with_suffix(".json"))
-    raw = np.fromfile(base.with_suffix(".f32"), dtype="<f4")
-    values = raw.reshape((hdr["n_windows"], hdr["n_features"])).astype(np.float64)
-    return FeatureTensor(values=values, columns=tuple(hdr["columns"]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +191,12 @@ def save_dataset(directory, tasks, extra_manifest: dict | None = None) -> Path:
 def iter_dataset(directory) -> Iterator[tuple[SignalMatrix, Trajectory]]:
     """Lazily yield (signal, trajectory) pairs in manifest order."""
     directory = Path(directory)
-    manifest = load_json(directory / "manifest.json")
-    for entry in manifest["tasks"]:
+    manifest_path = directory / "manifest.json"
+    manifest = _require_keys(load_json(manifest_path), ("tasks",), manifest_path)
+    if not isinstance(manifest["tasks"], list):
+        raise InvalidInputError(f"{manifest_path}: 'tasks' must be a list, got {manifest['tasks']!r}")
+    for i, entry in enumerate(manifest["tasks"]):
+        entry = _require_keys(entry, ("signal", "trajectory"), f"{manifest_path} task {i}")
         yield (
             load_signal(directory / entry["signal"]),
             load_trajectory(directory / entry["trajectory"]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.spatial
@@ -105,14 +105,6 @@ class LinearModel:
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept.tolist(),
-        }
 
 
 def fit_ridge(X, Y, alpha: float) -> LinearModel:
@@ -245,15 +237,6 @@ class KNNModel:
         w = np.where(exact.any(axis=1, keepdims=True), exact, 1.0 / np.where(exact, 1.0, dist))
         return (w[:, :, None] * targets).sum(axis=1) / w.sum(axis=1)[:, None]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "weights": self.weights,
-            "x_train": self.x_train.tolist(),
-            "y_train": self.y_train.tolist(),
-        }
-
 
 def fit_knn(X, Y, k: int, weights: str = "uniform") -> KNNModel:
     """Store the training set; prediction averages the k nearest neighbors
@@ -321,15 +304,6 @@ class MLPModel:
 
     def predict(self, X) -> np.ndarray:
         return _mlp_forward(self.params, np.asarray(X, dtype=np.float64))[1]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "mlp",
-            "hidden": self.hidden,
-            "lr": self.lr,
-            "n_epochs": self.n_epochs,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-        }
 
 
 def fit_mlp(
@@ -512,22 +486,10 @@ class FittedRegressor:
     hyperparams: dict
     fold_scores: tuple[tuple[float, ...], ...]
     mean_scores: tuple[float, ...]
-    grid_points: tuple[dict, ...] = field(default=())
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def predict(self, X) -> np.ndarray:
         return self.model.predict(X)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hyperparams": self.hyperparams,
-            "grid_points": list(self.grid_points),
-            "fold_scores": [list(f) for f in self.fold_scores],
-            "mean_scores": list(self.mean_scores),
-            "failures": [list(f) for f in self.failures],
-            "model": self.model.to_jsonable(),
-        }
 
 
 def _fold_slices(n: int, folds: int) -> list[slice]:
@@ -583,7 +545,6 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
         hyperparams=points[best],
         fold_scores=tuple(all_fold_scores),
         mean_scores=tuple(mean_scores),
-        grid_points=tuple(points),
         failures=tuple(failures),
     )
 

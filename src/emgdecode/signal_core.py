@@ -362,7 +362,6 @@ class SplitResult:
     x_test: np.ndarray
     y_test: np.ndarray
     test_chunk_sizes: tuple[int, ...]
-    permutation: np.ndarray
 
 
 def assemble_split(train_chunks, test_chunks, seed: int) -> SplitResult:
@@ -379,5 +378,4 @@ def assemble_split(train_chunks, test_chunks, seed: int) -> SplitResult:
         x_test=x_test,
         y_test=y_test,
         test_chunk_sizes=tuple(c[0].shape[0] for c in test_chunks),
-        permutation=perm,
     )

@@ -316,15 +316,3 @@ class TestPlateau:
         assert sel.converged[0] and sel.n_iter[0] < 500
         assert not sel.converged[2] and sel.n_iter[2] == 500
         assert select_components(tensor_of(data), "pca").converged == ()
-
-
-class TestModelSerialization:
-    def test_decomposition_models_jsonable(self):
-        import json
-
-        rng = np.random.default_rng(20)
-        data = rng.uniform(0.1, 1.0, (40, 6))
-        for model in (fit_pca(tensor_of(data), 3), fit_nmf(tensor_of(data), 3, seed=0)):
-            blob = json.loads(json.dumps(model.to_jsonable()))
-            assert blob["kind"] == model.kind
-            assert np.asarray(blob["components"]).shape == (3, 6)

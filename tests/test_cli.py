@@ -3,7 +3,6 @@
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from emgdecode.cli import main
@@ -99,6 +98,17 @@ class TestEvaluate:
         rc = main(["evaluate", "--dataset", str(missing), "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "field,value", [("window_s", -0.1), ("block_size", 0), ("seed", -1), ("n_win", 2.0)]
+    )
+    def test_bad_config_value_exits_2_before_reading_data(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps({field: value}))
+        missing = tmp_path / "no_such_dataset"
+        rc = main(["evaluate", "--dataset", str(missing), "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"RunConfig.{field} " in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, dataset, tmp_path):
         root, _ = dataset
         cfg = write_run_config(root)
@@ -108,36 +118,8 @@ class TestEvaluate:
         assert rc == 1
 
 
-class TestTrain:
-    def test_model_json_written(self, dataset):
-        root, ds = dataset
-        cfg = write_run_config(root)
-        out = root / "train"
-        rc = main(
-            ["train", "--dataset", str(ds), "--config", str(cfg), "--seed", "2", "--out", str(out)]
-        )
-        assert rc == 0
-        model = json.loads((out / "model.json").read_text())
-        assert model["kind"] == "ridge"
-        assert model["hyperparams"].keys() == {"alpha"}
-        assert len(model["fold_scores"]) == 5  # one tuple per grid point? no: per point
-        weights = np.asarray(model["model"]["weights"])
-        assert weights.shape[1] == 5
-
-
 class TestExtract:
-    def test_features_written_per_task(self, dataset):
-        root, ds = dataset
-        cfg = write_run_config(root)
-        out = root / "features"
-        rc = main(
-            ["extract", "--dataset", str(ds), "--config", str(cfg), "--feature", "rms", "--out", str(out)]
-        )
-        assert rc == 0
-        names = {p.name for p in out.iterdir()}
-        assert "task_00_features.f32" in names
-        hdr = json.loads((out / "task_00_features.json").read_text())
-        assert hdr["n_features"] == 128
+    """Failures of the pipeline's extract stage, through ``evaluate``."""
 
     def test_mixed_fs_exits_1(self, dataset, tmp_path, capsys):
         root, ds = dataset
@@ -147,21 +129,64 @@ class TestExtract:
         header["fs"] *= 0.8
         (mixed / "task_01.json").write_text(json.dumps(header))
         cfg = write_run_config(root)
-        rc = main(["extract", "--dataset", str(mixed), "--config", str(cfg), "--out", str(tmp_path / "f")])
+        rc = main(["evaluate", "--dataset", str(mixed), "--config", str(cfg), "--out", str(tmp_path / "f")])
         assert rc == 1
         assert "task 1: fs" in capsys.readouterr().err
 
     def test_no_dataset_exits_2(self, tmp_path, capsys):
-        assert main(["extract", "--out", str(tmp_path / "f")]) == 2
-        assert "extract requires --dataset" in capsys.readouterr().err
+        assert main(["evaluate", "--out", str(tmp_path / "f")]) == 2
+        assert "evaluate requires --dataset" in capsys.readouterr().err
 
-    def test_pca_rejected_for_extract(self, dataset):
+
+def drop_manifest_tasks(ds):
+    manifest = json.loads((ds / "manifest.json").read_text())
+    del manifest["tasks"]
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    return "manifest.json"
+
+
+def manifest_tasks_not_a_list(ds):
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["tasks"] = 3
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    return "manifest.json"
+
+
+def drop_header_key(ds):
+    header = json.loads((ds / "task_00.json").read_text())
+    del header["n_samples"]
+    (ds / "task_00.json").write_text(json.dumps(header))
+    return "task_00.json"
+
+
+def empty_trajectory(ds):
+    (ds / "task_00_angles.csv").write_text("")
+    return "task_00_angles.csv"
+
+
+def short_trajectory_row(ds):
+    path = ds / "task_00_angles.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    return "task_00_angles.csv"
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("command", ["evaluate", "sfbs"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [drop_manifest_tasks, manifest_tasks_not_a_list, drop_header_key, empty_trajectory, short_trajectory_row],
+    )
+    def test_exits_1_naming_the_file(self, dataset, tmp_path, capsys, command, corrupt):
         root, ds = dataset
+        bad = tmp_path / "bad"
+        shutil.copytree(ds, bad)
+        name = corrupt(bad)
         cfg = write_run_config(root)
-        rc = main(
-            ["extract", "--dataset", str(ds), "--config", str(cfg), "--feature", "pca", "--out", str(root / "y")]
-        )
-        assert rc == 2
+        rc = main([command, "--dataset", str(bad), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert name in capsys.readouterr().err
 
 
 class TestSweep:
@@ -227,3 +252,9 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_removed_command_exits_2(self, dataset, command):
+        root, ds = dataset
+        assert main([command, "--dataset", str(ds), "--out", str(root / command)]) == 2
+        assert not (root / command).exists()

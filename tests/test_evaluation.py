@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgdecode import (
+    ConfigError,
     FeatureTensor,
     GridLayout,
     InvalidInputError,
@@ -313,6 +314,12 @@ class TestSweep:
         assert table.rows[0][2] == "ok"
         assert table.rows[1][2].startswith("failed")
 
+    def test_invalid_value_raises_before_any_cell(self, sweep_setup):
+        config, _ = sweep_setup
+        # an empty task list fails every cell that runs, so a raise means none ran
+        with pytest.raises(ConfigError, match="RunConfig.block_size "):
+            sweep("block_size", config, tasks=[], values=(2, 0))
+
 
 def planted_block_data(seed, n_blocks=10, rows=400, informative=4):
     rng = np.random.default_rng(seed)
@@ -566,7 +573,37 @@ class TestConfigDefaults:
         assert cfg.postfilter_hz == 5.0
 
     def test_unknown_keys_rejected(self):
-        from emgdecode import ConfigError
-
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"block_sze": 3})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("window_s", -0.1),
+            ("window_s", float("nan")),
+            ("overlap_s", 0.15),
+            ("overlap_s", 0.2),
+            ("block_size", 0),
+            ("block_step", 0),
+            ("band_order", 0),
+            ("notch_q", -1.0),
+            ("seed", -1),
+            ("n_win", 2.0),
+            ("block_size", 2.0),
+            ("block_size", True),
+            ("split_ratio", 1.0),
+            ("crop_s", (3.0, 1.0)),
+            ("band_hz", (0.0, 500.0)),
+            ("postfilter_hz", 0.0),
+            ("n_components", 0),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**{field: value})
+        assert f"RunConfig.{field} " in str(info.value)
+        assert repr(value) in str(info.value)
+
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig(block_size=np.int64(3), block_step=np.int32(2), seed=np.uint8(4), n_win=np.int16(2))
+        assert (cfg.block_size, cfg.block_step, cfg.seed, cfg.n_win) == (3, 2, 4, 2)

@@ -1,12 +1,12 @@
-"""File formats: signal binaries with sidecars, trajectory CSVs, feature
-tensors, and dataset directories."""
+"""File formats: signal binaries with sidecars, trajectory CSVs, and dataset
+directories."""
 
 import json
 
 import numpy as np
 import pytest
 
-from emgdecode import FeatureTensor, InvalidInputError, SynthConfig, Trajectory, generate_task
+from emgdecode import InvalidInputError, SynthConfig, Trajectory, generate_task
 from emgdecode import io
 
 
@@ -75,19 +75,6 @@ class TestTrajectoryRoundTrip:
         path.write_text("t,thumb\n" + "".join(f"{t},{i}\n" for i, t in enumerate(stamps)))
         with pytest.raises(InvalidInputError, match=row):
             io.load_trajectory(path)
-
-
-class TestFeatureRoundTrip:
-    def tensor(self):
-        rng = np.random.default_rng(1)
-        return FeatureTensor(rng.standard_normal((7, 3)), ("b000:sigma", "b000:phi", "b000:omega"))
-
-    def test_binary(self, tmp_path):
-        t = self.tensor()
-        io.save_features_binary(t, tmp_path / "f")
-        back = io.load_features_binary(tmp_path / "f")
-        assert back.columns == t.columns
-        assert np.abs(back.values - t.values).max() <= 1e-6
 
 
 class TestDataset:

@@ -330,8 +330,8 @@ class TestTemporalSplit:
         feats = np.arange(100.0)[:, None]
         res1 = split_then_assemble([feats], [feats], 0.5, seed=9)
         res2 = split_then_assemble([feats], [feats], 0.5, seed=9)
-        assert np.array_equal(res1.permutation, res2.permutation)
         assert np.array_equal(res1.x_train, res2.x_train)
+        assert np.array_equal(res1.y_train, res2.y_train)
 
     def test_eight_tasks_counts_and_test_order(self):
         rng = np.random.default_rng(4)
