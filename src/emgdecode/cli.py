@@ -31,7 +31,7 @@ def _load_config_dict(path: str | None) -> dict:
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
     return raw
@@ -104,11 +104,18 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep_{args.param}.csv"
     io.atomic_write_text(csv_path, table.to_csv())
+    failures = [
+        {"value": value, "reason": status.removeprefix("failed: ")}
+        for _, value, status, *_ in table.rows
+        if status != "ok"
+    ]
     io.save_json(
         {
             "command": "sweep",
             "param": args.param,
             "config": config.to_dict(),
+            "n_cells": len(table.rows),
+            "failures": failures,
             "wall_time_s": time.perf_counter() - t0,
         },
         out / "manifest.json",

@@ -60,6 +60,15 @@ class PipelineResult:
     y_pred: np.ndarray
 
 
+def _plan_key(config: RunConfig) -> tuple:
+    """What a config's features depend on beyond the shared filtering and
+    crop: the extractor, the block size and step for MLD-BFM, the window."""
+    if config.feature == "mld-bfm":
+        return "mld-bfm", (config.block_size, config.block_step), config.window_s, config.overlap_s
+    # rms directly, and the raw input for pca/nmf
+    return ("mav-wl" if config.feature == "mav-wl" else "rms"), None, config.window_s, config.overlap_s
+
+
 def featurize(
     config: RunConfig, tasks: Iterable | None = None
 ) -> tuple[list[FeatureTensor], list[np.ndarray], dict]:
@@ -73,54 +82,102 @@ def featurize(
     or whose raw signal holds a non-finite value, raises an error naming it.
     ``info`` records task 0's window plan, block plan, ``pred_rate`` and
     labels, the number of tasks, and every task's window count.
+
+    This is the one-config call of the pass that ``sweep`` makes over all
+    its cells at once.
     """
-    if tasks is None:
-        if config.dataset is None:
-            raise PipelineError("load", "no tasks given and config.dataset is not set")
-        tasks = iter_dataset(config.dataset)
-    features: list[FeatureTensor] = []
-    targets: list[np.ndarray] = []
-    info: dict = {}
-    for i, (x, traj) in enumerate(tasks):
-        layout = {"fs": x.fs, "grids": x.grids, "labels": traj.labels}
-        if i == 0:
-            first = layout
-            specs = [FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz)]
-            if config.notch_hz is not None:
-                specs.append(FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q))
-            filters = [design_butterworth(spec, x.fs) for spec in specs]
-            if config.feature == "mld-bfm":
-                block_plan = plan_blocks(x.grids, config.block_size, config.block_step)
-                info["block_plan"] = block_plan.to_jsonable()
-                info["_block_plan"] = block_plan
-        try:
-            require_finite(x)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"task {i}: {exc}") from exc
-        for field, value in layout.items():
-            if value != first[field]:
-                raise AlignmentError(f"task {i}: {field} {value!r} differs from task 0's {first[field]!r}")
-        x = filtfilt(x, *filters)
-        if config.crop_s is not None:
-            x = crop(x, config.crop_s[0], config.crop_s[1])
-        window_plan = plan_windows_seconds(x.n_samples, x.fs, config.window_s, config.overlap_s)
-        if config.feature == "mld-bfm":
-            tensor = extract_mld_bfm(x, block_plan, window_plan)
-        elif config.feature == "mav-wl":
-            tensor = extract_mav_wl(x, window_plan)
-        else:
-            # rms directly, and the raw input for pca/nmf
-            tensor = extract_rms(x, window_plan)
-        features.append(tensor)
-        targets.append(resample_targets(traj, window_plan, x.fs, t_offset=x.t0))
-        info.setdefault("window_plan", window_plan.to_jsonable())
-        info.setdefault("pred_rate", x.fs / window_plan.stride)
-        info.setdefault("labels", traj.labels)
-    if not features:
-        raise InvalidInputError("dataset contains no tasks")
-    info["n_tasks"] = len(features)
-    info["n_windows"] = [tensor.n_windows for tensor in features]
-    return features, targets, info
+    (outcome,) = _featurize_plans([config], tasks)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _featurize_plans(configs: Sequence[RunConfig], tasks: Iterable | None) -> list:
+    """``featurize`` for many configs in one pass over ``tasks``.
+
+    Each task is read, checked, filtered and cropped once; then every
+    distinct feature plan (extractor, blocks, window) is applied to it, and
+    configs with the same plan share one extraction. Only the features and
+    targets are kept. Returns, per config, ``(features, targets, info)`` or
+    the exception ``featurize(config, tasks)`` raises: a plan that fails
+    fails its own configs, a task that fails fails every config not failed
+    yet, and the pass stops once every config has failed. The dataset, the
+    filters and the crop are the first config's, so the configs must agree on
+    them; the returned tensors are shared between configs and must not be
+    mutated.
+    """
+    if not configs:
+        return []
+    config = configs[0]
+    keys = [_plan_key(c) for c in configs]
+    plans = {key: ([], [], {}) for key in keys}  # features, targets, info
+    failed: dict[tuple, Exception] = {}
+    try:
+        if tasks is None:
+            if config.dataset is None:
+                raise PipelineError("load", "no tasks given and config.dataset is not set")
+            tasks = iter_dataset(config.dataset)
+        for i, (x, traj) in enumerate(tasks):
+            layout = {"fs": x.fs, "grids": x.grids, "labels": traj.labels}
+            if i == 0:
+                first = layout
+                specs = [FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz)]
+                if config.notch_hz is not None:
+                    specs.append(FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q))
+                filters = [design_butterworth(spec, x.fs) for spec in specs]
+                for key, (_, _, info) in plans.items():
+                    if key[1] is not None:
+                        try:
+                            info["_block_plan"] = plan_blocks(x.grids, *key[1])
+                        except Exception as exc:
+                            failed[key] = exc
+                        else:
+                            info["block_plan"] = info["_block_plan"].to_jsonable()
+            live = [key for key in plans if key not in failed]
+            if not live:
+                break
+            try:
+                require_finite(x)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"task {i}: {exc}") from exc
+            for field, value in layout.items():
+                if value != first[field]:
+                    raise AlignmentError(f"task {i}: {field} {value!r} differs from task 0's {first[field]!r}")
+            x = filtfilt(x, *filters)
+            if config.crop_s is not None:
+                x = crop(x, config.crop_s[0], config.crop_s[1])
+            for key in live:
+                kind, _, window_s, overlap_s = key
+                features, targets, info = plans[key]
+                try:
+                    window_plan = plan_windows_seconds(x.n_samples, x.fs, window_s, overlap_s)
+                    if kind == "mld-bfm":
+                        tensor = extract_mld_bfm(x, info["_block_plan"], window_plan)
+                    elif kind == "mav-wl":
+                        tensor = extract_mav_wl(x, window_plan)
+                    else:
+                        tensor = extract_rms(x, window_plan)
+                    target = resample_targets(traj, window_plan, x.fs, t_offset=x.t0)
+                except Exception as exc:
+                    failed[key] = exc
+                    continue
+                features.append(tensor)
+                targets.append(target)
+                info.setdefault("window_plan", window_plan.to_jsonable())
+                info.setdefault("pred_rate", x.fs / window_plan.stride)
+                info.setdefault("labels", traj.labels)
+    except Exception as exc:
+        for key in plans:
+            failed.setdefault(key, exc)
+    for key, (features, _, info) in plans.items():
+        if not features:
+            failed.setdefault(key, InvalidInputError("dataset contains no tasks"))
+        info["n_tasks"] = len(features)
+        info["n_windows"] = [tensor.n_windows for tensor in features]
+    return [
+        failed[key] if key in failed else (list(plans[key][0]), list(plans[key][1]), dict(plans[key][2]))
+        for key in keys
+    ]
 
 
 def _decompose_stage(
@@ -249,7 +306,15 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
         raise
     except Exception as exc:
         raise PipelineError("extract", str(exc)) from exc
+    return _decode_featurized(config, features, targets, info, t_start)
 
+
+def _decode_featurized(
+    config: RunConfig, features: list, targets: list, info: dict, t_start: float
+) -> PipelineResult:
+    """``run_pipeline`` after ``featurize``: PCA/NMF for those features, then
+    ``decode_features``; the manifest gains ``info``'s stages and the wall
+    time since ``t_start``."""
     decomp_info: dict = {}
     if config.feature in ("pca", "nmf"):
         try:
@@ -308,26 +373,32 @@ def sweep(
     tasks: Iterable | None = None,
     values: Sequence | None = None,
 ) -> SweepTable:
-    """One pipeline run per value of a single parameter, everything else
-    fixed at the control settings. Every cell's config is built first, so an
-    invalid value raises ``ConfigError`` before any cell runs; a cell that
-    fails on the data is recorded, not fatal.
+    """One decode per value of a single parameter, everything else fixed at
+    the control settings. Every cell's config is built first, so an invalid
+    value raises ``ConfigError`` before any cell runs.
 
-    ``tasks``, read once into a list, are the (SignalMatrix, Trajectory)
-    pairs of every cell; when omitted the config's dataset is re-read per cell.
+    ``tasks`` (a list, a one-shot iterator, or ``None`` for the config's
+    dataset) are read and filtered once: one featurize pass extracts every
+    cell's features, then each cell decodes its own. A cell that fails on
+    the data is recorded with the status ``run_pipeline``'s error would give
+    it, not raised: a plan that fails (a block larger than the grid, a window
+    longer than the crop) fails its own cell, a task that fails every cell
+    not failed yet.
     """
     if param not in SWEEP_RANGES:
         raise InvalidSpecError(f"unknown sweep parameter {param!r}; choose from {sorted(SWEEP_RANGES)}")
     sweep_values = tuple(values) if values is not None else SWEEP_RANGES[param]
     field = SWEEP_FIELDS[param]
-    tasks = None if tasks is None else list(tasks)
     header = ("param", "value", "status", "r2_vw", "rmse_vw", "mae_vw", "r_vw")
     configs = [config.replace(**{field: value}) for value in sweep_values]
     rows = []
-    for value, cfg in zip(sweep_values, configs):
+    for value, cfg, outcome in zip(sweep_values, configs, _featurize_plans(configs, tasks)):
         try:
-            result = run_pipeline(cfg, tasks)
-            m = result.metrics
+            if isinstance(outcome, PipelineError):
+                raise outcome
+            if isinstance(outcome, Exception):
+                raise PipelineError("extract", str(outcome)) from outcome
+            m = _decode_featurized(cfg, *outcome, time.perf_counter()).metrics
             rows.append((param, value, "ok", m.r2_vw, m.rmse_vw, m.mae_vw, m.r_vw))
         except Exception as exc:
             rows.append((param, value, f"failed: {exc}", "", "", "", ""))

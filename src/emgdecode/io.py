@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -46,7 +47,10 @@ def save_json(obj, path) -> None:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _require_keys(obj, keys: tuple[str, ...], where) -> dict:
@@ -57,6 +61,17 @@ def _require_keys(obj, keys: tuple[str, ...], where) -> dict:
         if key not in obj:
             raise InvalidInputError(f"{where}: missing key {key!r}")
     return obj
+
+
+# signal header key -> (what its value must be, its test); JSON gives exact
+# ints and floats, and ``type(True)`` is bool, not int
+_COUNT = ("an int >= 0", lambda v: type(v) is int and v >= 0)
+_HEADER_RULES = {
+    "n_samples": _COUNT,
+    "n_channels": _COUNT,
+    "fs": ("a finite real > 0", lambda v: type(v) in (int, float) and math.isfinite(v) and v > 0),
+    "grids": ("a list", lambda v: isinstance(v, list)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +109,9 @@ def load_signal(base) -> SignalMatrix:
     hdr = _require_keys(load_json(hdr_path), ("fs", "n_samples", "n_channels", "grids", "dtype"), hdr_path)
     if hdr["dtype"] != "f32le":
         raise InvalidInputError(f"{hdr_path}: unsupported signal dtype {hdr['dtype']!r}")
+    for key, (rule, ok) in _HEADER_RULES.items():
+        if not ok(hdr[key]):
+            raise InvalidInputError(f"{hdr_path}: header {key!r} must be {rule}, got {hdr[key]!r}")
     raw = np.fromfile(base.with_suffix(".f32"), dtype="<f4")
     shape = (hdr["n_samples"], hdr["n_channels"])
     if raw.size != shape[0] * shape[1]:

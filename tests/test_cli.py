@@ -172,12 +172,42 @@ def short_trajectory_row(ds):
     return "task_00_angles.csv"
 
 
+def invalid_json_header(ds):
+    (ds / "task_00.json").write_text("{")
+    return "task_00.json"
+
+
+def invalid_json_manifest(ds):
+    (ds / "manifest.json").write_text('{"tasks": [')
+    return "manifest.json"
+
+
+CORRUPTIONS = [
+    drop_manifest_tasks,
+    manifest_tasks_not_a_list,
+    drop_header_key,
+    empty_trajectory,
+    short_trajectory_row,
+    invalid_json_header,
+    invalid_json_manifest,
+]
+
+# signal header values of the wrong type or range
+BAD_HEADER_VALUES = [
+    ("n_samples", "10"),
+    ("n_samples", True),
+    ("n_samples", -1),
+    ("n_channels", 128.0),
+    ("fs", 0),
+    ("fs", "2048"),
+    ("fs", float("nan")),
+    ("grids", {}),
+]
+
+
 class TestMalformedDataset:
     @pytest.mark.parametrize("command", ["evaluate", "sfbs"])
-    @pytest.mark.parametrize(
-        "corrupt",
-        [drop_manifest_tasks, manifest_tasks_not_a_list, drop_header_key, empty_trajectory, short_trajectory_row],
-    )
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_exits_1_naming_the_file(self, dataset, tmp_path, capsys, command, corrupt):
         root, ds = dataset
         bad = tmp_path / "bad"
@@ -187,6 +217,20 @@ class TestMalformedDataset:
         rc = main([command, "--dataset", str(bad), "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sfbs"])
+    @pytest.mark.parametrize("key, value", BAD_HEADER_VALUES)
+    def test_bad_header_value_named(self, dataset, tmp_path, capsys, command, key, value):
+        root, ds = dataset
+        bad = tmp_path / "bad"
+        shutil.copytree(ds, bad)
+        header = json.loads((bad / "task_01.json").read_text())
+        header[key] = value
+        (bad / "task_01.json").write_text(json.dumps(header))
+        cfg = write_run_config(root)
+        rc = main([command, "--dataset", str(bad), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"task_01.json: header {key!r} must be " in capsys.readouterr().err
 
 
 class TestSweep:
@@ -204,6 +248,26 @@ class TestSweep:
         lines = (out / "sweep_block_size.csv").read_text().splitlines()
         assert lines[0] == "param,value,status,r2_vw,rmse_vw,mae_vw,r_vw"
         assert len(lines) == 9  # header + 8 sizes
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_cells"], manifest["failures"]) == (8, [])
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_malformed_file_named_in_every_cell(self, dataset, tmp_path, corrupt):
+        root, ds = dataset
+        bad = tmp_path / "bad"
+        shutil.copytree(ds, bad)
+        name = corrupt(bad)
+        cfg = write_run_config(root)
+        out = tmp_path / "o"
+        rc = main(["sweep", "--dataset", str(bad), "--config", str(cfg), "--param", "block_size", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "sweep_block_size.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(row.startswith(f"block_size,{b},failed: ") and name in row for b, row in enumerate(rows, 1))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_cells"] == 8
+        assert [f["value"] for f in manifest["failures"]] == list(range(1, 9))
+        assert all(name in f["reason"] and not f["reason"].startswith("failed") for f in manifest["failures"])
 
     def test_unknown_param_exits_2(self, dataset):
         root, ds = dataset

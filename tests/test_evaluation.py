@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from emgdecode import (
     ConfigError,
     FeatureTensor,
+    FilterSpec,
     GridLayout,
     InvalidInputError,
     InvalidSpecError,
@@ -22,7 +24,13 @@ from emgdecode import (
     generate_tasks,
     compute_metrics,
     contribution_map,
+    crop,
     decode_features,
+    design_butterworth,
+    extract_mav_wl,
+    extract_mld_bfm,
+    extract_rms,
+    filtfilt,
     group_columns_by_block,
     mae,
     pearson,
@@ -30,13 +38,17 @@ from emgdecode import (
     plan_windows_seconds,
     r2_pred,
     r2_vw,
+    resample_targets,
     rmse,
     run_pipeline,
     run_sfbs,
     sfbs_select,
     sweep,
 )
-from emgdecode.evaluation import SFBSResult, _decompose_stage, featurize
+from emgdecode import evaluation
+from emgdecode.config import SWEEP_FIELDS
+from emgdecode.evaluation import SFBSResult, _decompose_stage, _featurize_plans, featurize
+from emgdecode.io import save_dataset
 from emgdecode.signal_core import assemble_split, split_chunks
 
 from conftest import ridge_scorer
@@ -319,6 +331,167 @@ class TestSweep:
         # an empty task list fails every cell that runs, so a raise means none ran
         with pytest.raises(ConfigError, match="RunConfig.block_size "):
             sweep("block_size", config, tasks=[], values=(2, 0))
+
+
+# four short tasks, small enough to run every sweep cell twice
+PASS_SYNTH = SynthConfig(seed=21, duration_s=3.0, tasks=((0,), (1,), (2,), (0, 1, 2, 3, 4)))
+PASS_RUN = RunConfig(crop_s=(0.25, 2.75), seed=4, block_step=3)
+
+# values per sweep param; block 9 exceeds the 8 x 8 grids and a 9 s window
+# the 2.5 s crop, so those cells fail
+PASS_SWEEPS = {
+    "block_size": (1, 2, 9),
+    "block_step": (1, 3),
+    "window": (0.15, 0.3, 9.0),
+    "n_win": (1, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def pass_tasks():
+    return generate_tasks(PASS_SYNTH)
+
+
+@pytest.fixture(scope="module")
+def pass_dataset(pass_tasks, tmp_path_factory):
+    return save_dataset(tmp_path_factory.mktemp("pass") / "ds", pass_tasks)
+
+
+def per_cell_rows(param, config, tasks, values):
+    """The sweep as one ``run_pipeline`` per cell, each reading ``tasks``
+    afresh: the oracle of the shared featurize pass."""
+    rows = []
+    for value in values:
+        try:
+            m = run_pipeline(config.replace(**{SWEEP_FIELDS[param]: value}), tasks).metrics
+            rows.append((param, value, "ok", m.r2_vw, m.rmse_vw, m.mae_vw, m.r_vw))
+        except Exception as exc:
+            rows.append((param, value, f"failed: {exc}", "", "", "", ""))
+    return tuple(rows)
+
+
+def direct_featurize(config, tasks):
+    """One config's features and targets straight from the public filter,
+    crop, window and extractor functions: an oracle that shares no code with
+    ``featurize``'s pass."""
+    features, targets = [], []
+    for x, traj in tasks:
+        bandpass = FilterSpec(kind="bandpass", order=config.band_order, band=config.band_hz)
+        notch = FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q)
+        x = filtfilt(x, design_butterworth(bandpass, x.fs), design_butterworth(notch, x.fs))
+        x = crop(x, *config.crop_s)
+        windows = plan_windows_seconds(x.n_samples, x.fs, config.window_s, config.overlap_s)
+        if config.feature == "mld-bfm":
+            blocks = plan_blocks(x.grids, config.block_size, config.block_step)
+            features.append(extract_mld_bfm(x, blocks, windows))
+        else:
+            features.append((extract_rms if config.feature == "rms" else extract_mav_wl)(x, windows))
+        targets.append(resample_targets(traj, windows, x.fs, t_offset=x.t0))
+    return features, targets
+
+
+def outcome_of(call):
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, Exception), got
+    (got_f, got_t, got_info), (want_f, want_t, want_info) = got, want
+    assert [(f.values.tobytes(), f.columns) for f in got_f] == [(f.values.tobytes(), f.columns) for f in want_f]
+    assert [t.tobytes() for t in got_t] == [t.tobytes() for t in want_t]
+    # "_block_plan" is the BlockPlan behind "block_plan"'s JSON form
+    assert {k: v for k, v in got_info.items() if k != "_block_plan"} == {
+        k: v for k, v in want_info.items() if k != "_block_plan"
+    }
+
+
+pass_plans = st.lists(
+    st.builds(
+        lambda feature, size, step, window: PASS_RUN.replace(
+            feature=feature, block_size=size, block_step=step, window_s=window
+        ),
+        st.sampled_from(["mld-bfm", "mld-bfm", "rms", "mav-wl"]),
+        st.integers(1, 9),
+        st.integers(1, 4),
+        st.sampled_from([0.1, 0.15, 0.3, 9.0]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("param", sorted(PASS_SWEEPS))
+    def test_sweep_equals_per_cell_pipeline(self, pass_tasks, pass_dataset, param):
+        values = PASS_SWEEPS[param]
+        expected = per_cell_rows(param, PASS_RUN, pass_tasks, values)
+        assert sweep(param, PASS_RUN, tasks=pass_tasks, values=values).rows == expected
+        assert sweep(param, PASS_RUN, tasks=iter(pass_tasks), values=values).rows == expected
+        on_disk = PASS_RUN.replace(dataset=str(pass_dataset))
+        assert sweep(param, on_disk, values=values).rows == per_cell_rows(param, on_disk, None, values)
+        failed = [row[2] for row in expected if row[2] != "ok"]
+        assert len(failed) == (param in ("block_size", "window"))
+        assert all(status.startswith("failed: [extract] ") for status in failed)
+
+    def test_task_failure_fails_only_cells_still_running(self, pass_tasks):
+        x, traj = pass_tasks[2]
+        data = x.data.copy()
+        data[100, 7] = np.inf
+        tasks = [*pass_tasks[:2], (replace(x, data=data), traj), pass_tasks[3]]
+        rows = sweep("block_size", PASS_RUN, tasks=iter(tasks), values=(2, 9)).rows
+        assert rows == per_cell_rows("block_size", PASS_RUN, tasks, (2, 9))
+        # the block error, met at task 0, wins over task 2's
+        assert "task 2: " in rows[0][2] and "block size 9" in rows[1][2]
+
+    def test_unreadable_file_fails_only_cells_still_running(self, pass_dataset, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(pass_dataset, bad)
+        (bad / "task_02.json").write_text("{")
+        config = PASS_RUN.replace(dataset=str(bad))
+        rows = sweep("block_size", config, values=(2, 9)).rows
+        assert rows == per_cell_rows("block_size", config, None, (2, 9))
+        assert "task_02.json" in rows[0][2] and "block size 9" in rows[1][2]
+
+    def test_one_filter_call_per_task_and_one_read_per_sweep(self, pass_tasks, pass_dataset, monkeypatch):
+        calls = {"filtfilt": 0, "iter_dataset": 0}
+
+        def counted(name):
+            fn = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, wrapper)
+
+        counted("filtfilt")
+        counted("iter_dataset")
+        table = sweep("block_size", PASS_RUN.replace(dataset=str(pass_dataset)), values=(1, 2, 3))
+        assert [row[2] for row in table.rows] == ["ok"] * 3
+        assert calls == {"filtfilt": len(pass_tasks), "iter_dataset": 1}
+        table = sweep("n_win", PASS_RUN, tasks=iter(pass_tasks), values=(1, 2))
+        assert [row[2] for row in table.rows] == ["ok"] * 2
+        assert calls == {"filtfilt": 2 * len(pass_tasks), "iter_dataset": 1}
+
+    @settings(max_examples=15, deadline=None)
+    @example(configs=[PASS_RUN.replace(block_size=9), PASS_RUN, PASS_RUN.replace(window_s=9.0), PASS_RUN])
+    @given(configs=pass_plans)
+    def test_each_plan_equals_featurize(self, pass_tasks, configs):
+        tasks = pass_tasks[:2]
+        outcomes = _featurize_plans(configs, iter(tasks))
+        assert len(outcomes) == len(configs)
+        for config, got in zip(configs, outcomes):
+            assert_same_outcome(got, outcome_of(lambda: featurize(config, tasks)))
+            if not isinstance(got, Exception):
+                want = direct_featurize(config, tasks)
+                assert [f.values.tobytes() for f in got[0]] == [f.values.tobytes() for f in want[0]]
+                assert [t.tobytes() for t in got[1]] == [t.tobytes() for t in want[1]]
 
 
 def planted_block_data(seed, n_blocks=10, rows=400, informative=4):
