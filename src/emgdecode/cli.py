@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import io
-from .config import SWEEP_RANGES, RunConfig
+from .config import RunConfig
 from .errors import ConfigError, EmgDecodeError, InvalidSpecError
 from .evaluation import run_pipeline, run_sfbs, sweep
 from .synth import SynthConfig, iter_tasks
@@ -82,7 +82,6 @@ def cmd_evaluate(args) -> int:
     config = _run_config(args)
     result = run_pipeline(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = dict(result.manifest)
     manifest["command"] = "evaluate"
     io.save_json(result.metrics.to_dict(), out / "metrics.json")
@@ -96,12 +95,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _run_config(args)
-    if args.param not in SWEEP_RANGES:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}; choose from {sorted(SWEEP_RANGES)}")
     t0 = time.perf_counter()
     table = sweep(args.param, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep_{args.param}.csv"
     io.atomic_write_text(csv_path, table.to_csv())
     failures = [
@@ -128,21 +124,20 @@ def cmd_sfbs(args) -> int:
     config = _run_config(args)
     result, maps, plan, manifest = run_sfbs(config, alpha=args.alpha)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    lines = ["step,block_id,grid,row,col,score"]
-    for step, (block_id, score) in enumerate(zip(result.order, result.scores), start=1):
-        gi = plan.grid_index[block_id]
-        r0, c0 = plan.origins[block_id]
-        lines.append(f"{step},{block_id},{plan.grids[gi].name},{r0},{c0},{score!r}")
-    io.atomic_write_text(out / "sfbs_order.csv", "\n".join(lines) + "\n")
-
-    lines = ["grid,row,col,value"]
-    for name, grid_map in zip(maps.grids, maps.maps):
-        for r in range(grid_map.shape[0]):
-            for c in range(grid_map.shape[1]):
-                lines.append(f"{name},{r + 1},{c + 1},{grid_map[r, c]!r}")
-    io.atomic_write_text(out / "contribution_map.csv", "\n".join(lines) + "\n")
+    order = [
+        (step, block_id, plan.grids[plan.grid_index[block_id]].name, *plan.origins[block_id], score)
+        for step, (block_id, score) in enumerate(zip(result.order, result.scores), start=1)
+    ]
+    io.atomic_write_text(
+        out / "sfbs_order.csv", io.csv_text(("step", "block_id", "grid", "row", "col", "score"), order)
+    )
+    cells = [
+        (name, r, c, value)
+        for name, grid_map in zip(maps.grids, maps.maps)
+        for r, values in enumerate(grid_map.tolist(), start=1)
+        for c, value in enumerate(values, start=1)
+    ]
+    io.atomic_write_text(out / "contribution_map.csv", io.csv_text(("grid", "row", "col", "value"), cells))
 
     manifest = dict(manifest)
     manifest["command"] = "sfbs"

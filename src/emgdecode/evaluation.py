@@ -3,7 +3,6 @@ sequential forward block selection, and channel contribution maps."""
 
 from __future__ import annotations
 
-import io as _io
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from .blocks import BlockPlan, plan_blocks, plan_windows_seconds
 from .config import SWEEP_FIELDS, SWEEP_RANGES, RunConfig
 from .descriptors import FeatureTensor, extract_mld_bfm
 from .errors import AlignmentError, InvalidInputError, InvalidSpecError, PipelineError
-from .io import iter_dataset
+from .io import csv_text, iter_dataset
 from .metrics import MetricsReport, compute_metrics
 from .regression import (
     FittedRegressor,
@@ -354,17 +353,7 @@ class SweepTable:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
-        buf = _io.StringIO()
-        buf.write(",".join(self.header) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_csv_cell(v) for v in row) + "\n")
-        return buf.getvalue()
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return csv_text(self.header, self.rows)
 
 
 def sweep(

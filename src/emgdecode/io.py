@@ -1,5 +1,5 @@
-"""File formats: raw binary signals with JSON sidecars, trajectory CSVs,
-and dataset directories.
+"""File formats: raw binary signals with JSON sidecars, CSV tables
+(trajectories among them), and dataset directories.
 
 Signals are stored as little-endian float32, row-major (sample-major), with
 a sidecar header ``{fs, n_samples, n_channels, grids, dtype: "f32le"}``.
@@ -11,6 +11,7 @@ never appear under their final name.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -39,6 +40,17 @@ def _atomic_bytes(path: Path, payload: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     _atomic_bytes(Path(path), text.encode("utf-8"))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of ``header`` then ``rows``, one ``\\n``-ended line each. Fields
+    holding a comma, a quote or a line feed are quoted; floats are written as
+    their shortest round-trip text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def save_json(obj, path) -> None:
@@ -133,13 +145,8 @@ def load_signal(base) -> SignalMatrix:
 
 def save_trajectory(traj: Trajectory, path) -> Path:
     path = Path(path)
-    lines = ["t," + ",".join(traj.labels)]
-    times = traj.times
-    for i in range(traj.angles.shape[0]):
-        lines.append(
-            repr(float(times[i])) + "," + ",".join(repr(float(v)) for v in traj.angles[i])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([traj.times, traj.angles]).tolist()
+    atomic_write_text(path, csv_text(("t", *traj.labels), rows))
     return path
 
 
@@ -190,7 +197,6 @@ def load_trajectory(path) -> Trajectory:
 def save_dataset(directory, tasks, extra_manifest: dict | None = None) -> Path:
     """Write ``task_XX`` signal pairs and trajectory CSVs plus manifest.json."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (x, traj) in enumerate(tasks):
         stem = f"task_{i:02d}"

@@ -220,7 +220,10 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
 
 
 # One process-wide pool, created on first use and dropped in a forked child,
-# whose copy would wait forever on threads that the fork did not copy.
+# whose copy would wait forever on threads that the fork did not copy. It is
+# process-wide because a pool per call, though bit-identical and free of this
+# lock and fork hook, filtered one 5 s, 128-channel task in 46-47 ms instead
+# of 37-40 ms on 2 cores, paying for new threads on every call.
 _pool: tuple[int, ThreadPoolExecutor] | None = None
 _pool_lock = threading.Lock()
 

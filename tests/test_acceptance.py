@@ -37,6 +37,7 @@ from emgdecode import (
     sweep,
 )
 from emgdecode.blocks import plan_windows_seconds
+from emgdecode.evaluation import _decode_featurized, _featurize_plans
 from emgdecode.regression import _mlp_forward_backward, _mlp_init
 from emgdecode.signal_core import apply_filtfilt as _ff  # noqa: F401
 
@@ -190,11 +191,14 @@ def test_acceptance_5_end_to_end_default_run():
 
 def test_acceptance_6_feature_ordering_across_seeds():
     for seed in (0, 1, 2):
-        synth = SynthConfig(seed=seed)
+        # one read and filtering pass per seed serves all three features,
+        # each then decoded as run_pipeline would
+        configs = [RunConfig(seed=seed, feature=feature) for feature in ("mld-bfm", "rms", "nmf")]
         scores = {}
-        for feature in ("mld-bfm", "rms", "nmf"):
-            config = RunConfig(seed=seed, feature=feature)
-            scores[feature] = run_pipeline(config, iter_tasks(synth)).metrics.r2_vw
+        for config, outcome in zip(configs, _featurize_plans(configs, iter_tasks(SynthConfig(seed=seed)))):
+            if isinstance(outcome, Exception):
+                raise outcome
+            scores[config.feature] = _decode_featurized(config, *outcome, time.perf_counter()).metrics.r2_vw
         assert scores["mld-bfm"] >= scores["rms"] >= scores["nmf"], (seed, scores)
     passline(6, "r2_vw(MLD-BFM) >= r2_vw(RMS) >= r2_vw(NMF) for Ridge on seeds 0, 1, 2")
 

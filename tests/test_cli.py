@@ -1,10 +1,13 @@
 """CLI subcommands: exit codes, outputs, manifests."""
 
+import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from emgdecode import RunConfig, run_sfbs
 from emgdecode.cli import main
 
 SYNTH_CFG = {
@@ -261,21 +264,26 @@ class TestSweep:
         out = tmp_path / "o"
         rc = main(["sweep", "--dataset", str(bad), "--config", str(cfg), "--param", "block_size", "--out", str(out)])
         assert rc == 0
-        rows = (out / "sweep_block_size.csv").read_text().splitlines()[1:]
+        with open(out / "sweep_block_size.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 8
-        assert all(row.startswith(f"block_size,{b},failed: ") and name in row for b, row in enumerate(rows, 1))
+        for b, row in enumerate(rows, 1):
+            assert len(row) == 7 and row[:2] == ["block_size", str(b)]
+            assert row[2].startswith("failed: ") and name in row[2]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_cells"] == 8
         assert [f["value"] for f in manifest["failures"]] == list(range(1, 9))
         assert all(name in f["reason"] and not f["reason"].startswith("failed") for f in manifest["failures"])
 
-    def test_unknown_param_exits_2(self, dataset):
+    def test_unknown_param_exits_2(self, dataset, capsys):
         root, ds = dataset
         cfg = write_run_config(root)
         rc = main(
             ["sweep", "--dataset", str(ds), "--config", str(cfg), "--param", "banana", "--out", str(root / "z")]
         )
         assert rc == 2
+        assert "'banana'" in capsys.readouterr().err
+        assert not (root / "z").exists()
 
 
 class TestSfbs:
@@ -301,6 +309,21 @@ class TestSfbs:
         assert stages["n_candidates"] == 18 * 19 // 2
         assert stages["n_train_rows"] > 0 and stages["n_test_rows"] > 0
         assert manifest["wall_time_s"] > 0
+
+    def test_contribution_map_values_are_numbers(self, dataset, tmp_path):
+        root, ds = dataset
+        cfg = write_run_config(root, block_size=4, block_step=2)
+        out = tmp_path / "sfbs"
+        assert main(["sfbs", "--dataset", str(ds), "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        with open(out / "contribution_map.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        config = RunConfig.from_dict({**RUN_CFG, "block_size": 4, "block_step": 2, "seed": 1, "dataset": str(ds)})
+        _, maps, _, _ = run_sfbs(config)
+        expected = [(name, r, c, v) for name, m in zip(maps.grids, maps.maps) for (r, c), v in np.ndenumerate(m)]
+        assert len(rows) == len(expected) == 128
+        for (grid, row, col, value), (name, r, c, v) in zip(rows, expected):
+            assert (grid, int(row), int(col)) == (name, r + 1, c + 1)
+            assert float(value) == v  # shortest round-trip text: bit for bit
 
     @pytest.mark.parametrize("flags", [["--alpha", "0"], ["--alpha", "-1"], ["--model", "mlp"]])
     def test_bad_flag_exits_2(self, dataset, flags):

@@ -1,5 +1,7 @@
 """Metrics, pipeline-level behavior, sweeps, SFBS, and contribution maps."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -325,6 +327,17 @@ class TestSweep:
         table = sweep("window", config, tasks=tasks, values=(0.15, 9.0))
         assert table.rows[0][2] == "ok"
         assert table.rows[1][2].startswith("failed")
+
+    def test_failed_status_with_commas_stays_one_field(self, three_tasks):
+        # task 2's grid layout differs, and the error text quotes it with commas
+        tasks = with_last_task_changed(three_tasks, "grids")
+        table = sweep("block_size", RunConfig(crop_s=(0.25, 1.75), seed=0), tasks=tasks, values=(1, 2))
+        rows = list(csv.reader(io.StringIO(table.to_csv())))
+        assert rows[0] == list(table.header)
+        assert all(len(row) == 7 for row in rows)
+        for row, (_, value, status, *_) in zip(rows[1:], table.rows):
+            assert "," in status and status.startswith("failed: ")
+            assert row[1:3] == [str(value), status]
 
     def test_invalid_value_raises_before_any_cell(self, sweep_setup):
         config, _ = sweep_setup

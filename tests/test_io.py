@@ -65,6 +65,14 @@ class TestTrajectoryRoundTrip:
         assert back.fs_kin == pytest.approx(traj.fs_kin, rel=1e-9)
         assert np.abs(back.angles - traj.angles).max() <= 1e-12
 
+    def test_default_task_bytes_match_repr_join(self, tmp_path):
+        _, traj = generate_task(SynthConfig(), 0)
+        path = io.save_trajectory(traj, tmp_path / "angles.csv")
+        rows = [(t, *angles) for t, angles in zip(traj.times, traj.angles)]
+        expected = "t," + ",".join(traj.labels) + "\n"
+        expected += "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize(
         "stamps,row",
         [((0.5, 0.6, 0.7), r"row 0 has t=0\.5"), ((0.0, 0.1, 0.5), r"row 1 has t=0\.1")],
@@ -89,6 +97,15 @@ class TestDataset:
         for (x0, t0), (x1, t1) in zip(tasks, loaded):
             assert np.abs(x0.data - x1.data).max() <= 1e-5 * max(1.0, np.abs(x0.data).max())
             assert np.abs(t0.angles - t1.angles).max() <= 1e-12
+
+    def test_label_with_comma_round_trips(self, tmp_path):
+        x, traj = generate_task(SynthConfig(seed=2, duration_s=1.0, tasks=((0,),)), 0)
+        labels = ("thumb, distal", 'index "MCP"', *traj.labels[2:])
+        traj = Trajectory(traj.angles, traj.fs_kin, labels)
+        io.save_dataset(tmp_path / "ds", [(x, traj)])
+        ((_, back),) = io.iter_dataset(tmp_path / "ds")
+        assert back.labels == labels
+        assert np.array_equal(back.angles, traj.angles)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         io.save_json({"a": 1}, tmp_path / "x.json")
