@@ -262,6 +262,7 @@ def decode_features(
             "cv_failures": [
                 {"grid_index": gi, "fold": fi, "reason": reason} for gi, fi, reason in fitted.failures
             ],
+            "cv_fits": fitted.n_fits,
             **_convergence(fitted.model),
             "n_train_rows": int(split.x_train.shape[0]),
             "n_test_rows": int(split.x_test.shape[0]),

@@ -11,11 +11,11 @@ never appear under their final name.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import tempfile
+import types
 from pathlib import Path
 from typing import Iterator
 
@@ -44,13 +44,16 @@ def atomic_write_text(path, text: str) -> None:
 
 def csv_text(header, rows) -> str:
     """CSV text of ``header`` then ``rows``, one ``\\n``-ended line each. Fields
-    holding a comma, a quote or a line feed are quoted; floats are written as
-    their shortest round-trip text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    holding a comma, a quote, a line feed or a carriage return are quoted;
+    floats are written as their shortest round-trip text."""
+    lines: list[str] = []
+    # csv quotes a field holding any character of the line terminator, so
+    # "\r\n" makes it quote a lone "\r" too; the writer hands over one row per
+    # write, and each row then ends in "\n" alone
+    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 def save_json(obj, path) -> None:

@@ -9,6 +9,7 @@ amplitude relationships between fingers are preserved.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -107,6 +108,16 @@ class LinearModel:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
 
 
+def _fit_inputs(kind: str, X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Training rows as float arrays, ``Y`` with one column per output;
+    non-finite values have no fit."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidInputError(f"{kind} requires finite inputs")
+    return X, (Y[:, None] if Y.ndim == 1 else Y)
+
+
 def fit_ridge(X, Y, alpha: float) -> LinearModel:
     """Closed-form multi-output ridge: W = (X^T X + alpha I)^-1 X^T Y on
     centered data, with an unpenalized intercept recovered from the means.
@@ -114,12 +125,7 @@ def fit_ridge(X, Y, alpha: float) -> LinearModel:
     The shared (pooled) output scaler leaves per-output mean offsets in
     place, so the intercept cannot come from scaling alone."""
     _check_alpha("ridge", alpha)
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise InvalidInputError("ridge requires finite inputs")
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = _fit_inputs("ridge", X, Y)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
@@ -170,12 +176,7 @@ def fit_lasso(X, Y, alpha: float, max_iter: int = 10000, tol: float = 1e-3) -> L
     one length-f update of ``r`` instead of passes over the data rows.
     """
     _check_alpha("lasso", alpha)
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise InvalidInputError("lasso requires finite inputs")
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = _fit_inputs("lasso", X, Y)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
@@ -222,36 +223,61 @@ class KNNModel:
     weights: str
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.x_train.shape[1]:
-            raise InvalidInputError(f"knn queries need {self.x_train.shape[1]} features, not shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise InvalidInputError("knn requires finite queries")
-        # a list of ranks keeps the (rows, k) shape at k = 1; nearest first
-        dist, idx = scipy.spatial.KDTree(self.x_train).query(X, k=list(range(1, self.k + 1)))
-        targets = self.y_train[idx]
-        if self.weights == "uniform":
-            return targets.mean(axis=1)
-        # a row with exact matches averages those alone, and never forms 1/0
-        exact = dist == 0.0
-        w = np.where(exact.any(axis=1, keepdims=True), exact, 1.0 / np.where(exact, 1.0, dist))
-        return (w[:, :, None] * targets).sum(axis=1) / w.sum(axis=1)[:, None]
+        X = _knn_queries(X, self.x_train.shape[1])
+        dist, idx = _nearest(scipy.spatial.KDTree(self.x_train), X, self.k)
+        return _knn_average(dist, idx, self.y_train, self.weights)
+
+
+def _knn_queries(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise InvalidInputError(f"knn queries need {n_features} features, not shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InvalidInputError("knn requires finite queries")
+    return X
+
+
+def _nearest(tree: scipy.spatial.KDTree, X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and training-row indices of each query's k nearest rows,
+    ordered by distance, then by row index. A tie at the k-th distance goes
+    to the lower row index, so the first k columns of a query at a larger k
+    name the same rows in the same order."""
+    depth = min(tree.n, k + 1)
+    while True:
+        # a list of ranks keeps the (rows, depth) shape at depth = 1
+        dist, idx = tree.query(X, k=list(range(1, depth + 1)))
+        # every row that ties the k-th distance is in once the last rank is farther
+        if depth == tree.n or (dist[:, -1] > dist[:, k - 1]).all():
+            break
+        depth = min(tree.n, 2 * depth)
+    order = np.lexsort((idx, dist))[:, :k]
+    return np.take_along_axis(dist, order, axis=1), np.take_along_axis(idx, order, axis=1)
+
+
+def _knn_average(dist: np.ndarray, idx: np.ndarray, y_train: np.ndarray, weights: str) -> np.ndarray:
+    """The uniform or 1/d weighted mean of each query's neighbour targets."""
+    targets = y_train[idx]
+    if weights == "uniform":
+        return targets.mean(axis=1)
+    # a row with exact matches averages those alone, and never forms 1/0
+    exact = dist == 0.0
+    w = np.where(exact.any(axis=1, keepdims=True), exact, 1.0 / np.where(exact, 1.0, dist))
+    return (w[:, :, None] * targets).sum(axis=1) / w.sum(axis=1)[:, None]
 
 
 def fit_knn(X, Y, k: int, weights: str = "uniform") -> KNNModel:
     """Store the training set; prediction averages the k nearest neighbors
     (1/d weights with an exact-match short-circuit when requested)."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise InvalidInputError("knn requires finite inputs")
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = _fit_inputs("knn", X, Y)
     if weights not in ("uniform", "distance"):
         raise InvalidSpecError(f"unknown KNN weighting {weights!r}")
-    if not (1 <= k <= X.shape[0]):
-        raise InvalidSpecError(f"k={k} must lie in [1, {X.shape[0]}] training rows")
+    _check_k(k, X.shape[0])
     return KNNModel(x_train=X.copy(), y_train=Y.copy(), k=k, weights=weights)
+
+
+def _check_k(k: int, n_train: int) -> None:
+    if not (1 <= k <= n_train):
+        raise InvalidSpecError(f"k={k} must lie in [1, {n_train}] training rows")
 
 
 def _mlp_forward(params: dict, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,12 +350,7 @@ def fit_mlp(
     training loss fails to improve by 0.1% for 10 consecutive epochs, so a
     genuine step-size floor triggers annealing but steady descent never
     does."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise InvalidInputError("mlp requires finite inputs")
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = _fit_inputs("mlp", X, Y)
     n = X.shape[0]
     n_val = max(1, int(round(0.1 * n)))
     if n - n_val < 1:
@@ -479,13 +500,78 @@ def fit_regressor(kind: str, X, Y, hyper: dict, seed: int = 0):
     raise InvalidSpecError(f"unknown regressor kind {kind!r}")
 
 
+def _ridge_fold(X, Y, queries, points: list[dict]):
+    """Ridge predictions of the queries at any grid alpha, from one
+    eigendecomposition per fold: ``Xc'Xc = V diag(lam) V'`` when p <= n,
+    else ``Xc Xc' = U diag(lam) U'`` (n x n, never p x p). Either way the
+    predictions are ``T diag(1 / (lam + alpha)) B + mean(Y)`` with ``T`` and
+    ``B`` fixed for the fold.
+
+    At alpha = 0, eigenvalues at or below ``max(lam) * max(n, p) * eps``
+    (numpy's rank cutoff) count as zero: that is the minimum-norm least
+    squares fit, which ``fit_ridge``'s ``lstsq`` fallback also returns."""
+    X, Y = _fit_inputs("ridge", X, Y)
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    Xc = X - x_mean
+    Q = np.asarray(queries, dtype=np.float64) - x_mean
+    n, p = Xc.shape
+    if p <= n:
+        lam, V = np.linalg.eigh(Xc.T @ Xc)
+        B = V.T @ (Xc.T @ (Y - y_mean))
+        T = Q @ V
+    else:
+        lam, U = np.linalg.eigh(Xc @ Xc.T)
+        B = U.T @ (Y - y_mean)
+        T = (Q @ Xc.T) @ U
+    lam = np.maximum(lam, 0.0)
+    cutoff = lam[-1] * max(n, p) * np.finfo(np.float64).eps
+
+    def predict(hyper: dict) -> np.ndarray:
+        alpha = hyper["alpha"]
+        scale = np.divide(1.0, lam + alpha, out=np.zeros_like(lam), where=alpha > 0 or lam > cutoff)
+        return T @ (scale[:, None] * B) + y_mean
+
+    return predict
+
+
+def _knn_fold(X, Y, queries, points: list[dict]):
+    """KNN predictions of the queries at any grid (k, weights), from one
+    KD-tree query per fold at the largest grid k the fold's training rows
+    allow; a point takes that query's first k columns (see ``_nearest``)."""
+    X, Y = _fit_inputs("knn", X, Y)
+    n, f = X.shape
+    k_max = max((hyper["k"] for hyper in points if hyper["k"] <= n), default=0)
+
+    @functools.cache
+    def neighbours() -> tuple[np.ndarray, np.ndarray]:
+        return _nearest(scipy.spatial.KDTree(X), _knn_queries(queries, f), k_max)
+
+    def predict(hyper: dict) -> np.ndarray:
+        k = hyper["k"]
+        _check_k(k, n)
+        dist, idx = neighbours()
+        return _knn_average(dist[:, :k], idx[:, :k], Y, hyper["weights"])
+
+    return predict
+
+
+# kinds whose fold work serves every grid point; the others fit once per point
+_SHARED_ROUTES = {"ridge": _ridge_fold, "knn": _knn_fold}
+
+
 @dataclass(frozen=True)
 class FittedRegressor:
+    """The refit winner and its CV record; ``n_fits`` counts the solves CV
+    made (one per fold for ridge and KNN, one per point and fold for Lasso
+    and the MLP) plus the refit."""
+
     kind: str
     model: object
     hyperparams: dict
     fold_scores: tuple[tuple[float, ...], ...]
     mean_scores: tuple[float, ...]
+    n_fits: int
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def predict(self, X) -> np.ndarray:
@@ -497,16 +583,24 @@ def _fold_slices(n: int, folds: int) -> list[slice]:
     return [slice(bounds[i], bounds[i + 1]) for i in range(folds)]
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor:
     """Grid search over the spec's hyperparameters with contiguous k-fold
     cross-validation on the (pre-shuffled) training rows; variance-weighted
     R^2 is the selection criterion and the winner is refit on all rows.
 
-    A fold whose fit fails with an ``EmgDecodeError`` (an impossible KNN
-    ``k``, a diverged MLP) scores -inf and is recorded in ``failures`` as
-    (grid index, fold index, reason); any other exception propagates.
-    Ties go to the first-listed point. Per-fit seeds are derived from the
-    spec seed so results do not depend on evaluation order.
+    Ridge and KNN score every grid point from one factorization per fold
+    (``_SHARED_ROUTES``); Lasso and the MLP fit once per point and fold. A
+    held-out fold whose targets have no variance has no R^2 and raises
+    ``InvalidInputError``. A fold whose fit fails with an ``EmgDecodeError``
+    (an impossible KNN ``k``, a diverged MLP) scores -inf and is recorded in
+    ``failures`` as (grid index, fold index, reason); any other exception
+    propagates. A NaN mean never wins; ties go to the first-listed point.
+    Per-fit seeds are derived from the spec seed so results do not depend
+    on evaluation order.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -517,24 +611,35 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
         raise InvalidInputError(f"need at least {folds} rows for {folds}-fold CV")
     points = spec.grid_points()
     fold_slc = _fold_slices(n, folds)
-    all_fold_scores: list[tuple[float, ...]] = []
-    mean_scores: list[float] = []
+    for fi, slc in enumerate(fold_slc):
+        if (Y[slc].var(axis=0) == 0.0).all():
+            raise InvalidInputError(
+                f"CV fold {fi} (rows {slc.start}:{slc.stop}) holds out targets with no variance; R^2 is undefined"
+            )
+    route = _SHARED_ROUTES.get(spec.kind)
+    scores = [[-math.inf] * folds for _ in points]
     failures: list[tuple[int, int, str]] = []
-    for gi, hyper in enumerate(points):
-        scores = []
-        for fi, slc in enumerate(fold_slc):
-            mask = np.ones(n, dtype=bool)
-            mask[slc] = False
+    for fi, slc in enumerate(fold_slc):
+        mask = np.ones(n, dtype=bool)
+        mask[slc] = False
+        x_fit, y_fit = X[mask], Y[mask]
+        try:
+            shared = route(x_fit, y_fit, X[slc], points) if route else None
+        except EmgDecodeError as exc:
+            failures.extend((gi, fi, _reason(exc)) for gi in range(len(points)))
+            continue
+        for gi, hyper in enumerate(points):
             try:
-                seed = _derived_seed(spec.seed, gi, fi)
-                model = fit_regressor(spec.kind, X[mask], Y[mask], hyper, seed=seed)
-                scores.append(r2_vw(Y[slc], model.predict(X[slc])))
+                if shared:
+                    pred = shared(hyper)
+                else:
+                    seed = _derived_seed(spec.seed, gi, fi)
+                    pred = fit_regressor(spec.kind, x_fit, y_fit, hyper, seed=seed).predict(X[slc])
+                scores[gi][fi] = r2_vw(Y[slc], pred)
             except EmgDecodeError as exc:
-                scores.append(-math.inf)
-                failures.append((gi, fi, f"{type(exc).__name__}: {exc}"))
-        all_fold_scores.append(tuple(scores))
-        mean_scores.append(float(np.mean(scores)))
-    best = int(np.argmax(mean_scores))
+                failures.append((gi, fi, _reason(exc)))
+    mean_scores = [float(np.mean(row)) for row in scores]
+    best = int(np.argmax([-math.inf if math.isnan(m) else m for m in mean_scores]))
     if not math.isfinite(mean_scores[best]):
         raise TrainingDivergedError("every grid point failed during cross-validation")
     final_seed = _derived_seed(spec.seed, best, folds)
@@ -543,9 +648,10 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
         kind=spec.kind,
         model=model,
         hyperparams=points[best],
-        fold_scores=tuple(all_fold_scores),
+        fold_scores=tuple(tuple(row) for row in scores),
         mean_scores=tuple(mean_scores),
-        failures=tuple(failures),
+        n_fits=(folds if route else len(points) * folds) + 1,
+        failures=tuple(sorted(failures)),
     )
 
 

@@ -196,6 +196,9 @@ class TestDecodeFeatures:
         stages = json.loads(json.dumps(res.manifest))["stages"]
         fitted = res.model.model
         assert stages["cv_failures"] == []
+        # default grids: one solve per fold for ridge and KNN, one per point
+        # and fold for Lasso (4 points) and the MLP (6), plus the refit
+        assert stages["cv_fits"] == {"ridge": 6, "knn": 6, "lasso": 21, "mlp": 31}[model]
         if model == "lasso":
             assert stages["model_n_iter"] == list(fitted.n_iter) and len(fitted.n_iter) == 3
             assert stages["model_converged"] == list(fitted.converged)

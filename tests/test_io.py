@@ -1,6 +1,7 @@
 """File formats: signal binaries with sidecars, trajectory CSVs, and dataset
 directories."""
 
+import csv
 import json
 
 import numpy as np
@@ -83,6 +84,26 @@ class TestTrajectoryRoundTrip:
         path.write_text("t,thumb\n" + "".join(f"{t},{i}\n" for i, t in enumerate(stamps)))
         with pytest.raises(InvalidInputError, match=row):
             io.load_trajectory(path)
+
+
+class TestCsvText:
+    @pytest.mark.parametrize(
+        "field",
+        ["x\ry", "x\r\ny", "x\ny", 'x"y', "x,y", "trailing\r", "\r"],
+        ids=["lone-cr", "crlf", "lf", "quote", "comma", "trailing-cr", "only-cr"],
+    )
+    def test_special_fields_read_back_through_csv_reader(self, tmp_path, field):
+        path = tmp_path / "table.csv"
+        io.atomic_write_text(path, io.csv_text(("a", "b"), [(field, 1.5), ("plain", 2)]))
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["a", "b"], [field, "1.5"], ["plain", "2"]]
+
+    def test_lone_cr_field_is_quoted(self):
+        assert io.csv_text(("a", "b"), [("x\ry", 1.5)]) == 'a,b\n"x\ry",1.5\n'
+
+    def test_plain_table_lines_end_in_line_feed(self):
+        assert io.csv_text(("t", "v"), [(0.0, 0.1), (0.5, -2.0)]) == "t,v\n0.0,0.1\n0.5,-2.0\n"
 
 
 class TestDataset:

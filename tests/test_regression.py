@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -576,6 +577,158 @@ class TestGridSearch:
     def test_rows_fewer_than_folds_rejected(self):
         with pytest.raises(InvalidInputError):
             grid_search_cv(RegressorSpec("ridge", seed=0), np.zeros((4, 2)), np.zeros((4, 1)))
+
+    def test_constant_held_out_targets_name_the_fold(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((20, 3))
+        # no fit fails here; the held-out R^2 is undefined
+        with pytest.raises(InvalidInputError, match=r"fold 0 \(rows 0:4\)"):
+            grid_search_cv(RegressorSpec("ridge", seed=0), X, np.full((20, 2), 4.0))
+        Y = rng.standard_normal((20, 2))
+        Y[8:12] = 1.5
+        with pytest.raises(InvalidInputError, match=r"fold 2 \(rows 8:12\)"):
+            grid_search_cv(RegressorSpec("knn", grid={"k": [3]}, seed=0), X, Y)
+
+    def test_nan_mean_never_wins(self, monkeypatch):
+        # grid point 0 scores NaN in every fold; the point after it must win
+        calls = []
+
+        def r2_nan_for_first_point(y, yhat):
+            calls.append(None)
+            return math.nan if len(calls) % 2 == 1 else 0.5
+
+        monkeypatch.setattr(regression, "r2_vw", r2_nan_for_first_point)
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((40, 3))
+        Y = rng.standard_normal((40, 2))
+        fitted = grid_search_cv(RegressorSpec("ridge", grid={"alpha": [0.1, 1.0]}, seed=0), X, Y)
+        assert fitted.hyperparams == {"alpha": 1.0}
+        assert math.isnan(fitted.mean_scores[0]) and fitted.mean_scores[1] == 0.5
+
+    @pytest.mark.parametrize(
+        "kind, grid, n_fits",
+        [
+            ("ridge", None, 5 + 1),
+            ("knn", {"k": [3, 500]}, 5 + 1),
+            ("lasso", {"alpha": [0.1, 1.0]}, 2 * 5 + 1),
+            ("mlp", {"hidden": [4], "lr": [0.01]}, 5 + 1),
+        ],
+        ids=["ridge", "knn", "lasso", "mlp"],
+    )
+    def test_fit_count(self, kind, grid, n_fits):
+        # one solve per fold for the shared routes (a failed point included),
+        # one per point and fold for the others, plus the refit
+        rng = np.random.default_rng(34)
+        X = rng.standard_normal((40, 3))
+        Y = rng.standard_normal((40, 2))
+        assert grid_search_cv(RegressorSpec(kind, grid=grid, seed=0), X, Y).n_fits == n_fits
+
+
+def per_point_fold_scores(kind, X, Y, points, folds=5):
+    """Reference for the shared CV routes: every grid point's fold scores
+    from its own ``fit_*`` + ``predict`` + ``r2_vw``, and the failures as
+    (grid index, fold, reason). Ridge at alpha = 0 is the minimum-norm least-squares fit, what
+    ``fit_ridge``'s ``lstsq`` fallback returns: on a rank-deficient Gram
+    matrix its Cholesky factor can succeed in rounding and return another
+    least-squares solution."""
+    n = X.shape[0]
+    scores, failures = [], []
+    for gi, hyper in enumerate(points):
+        row = []
+        for fi, slc in enumerate(regression._fold_slices(n, folds)):
+            mask = np.ones(n, dtype=bool)
+            mask[slc] = False
+            try:
+                if kind == "ridge" and hyper["alpha"] == 0.0:
+                    x_mean, y_mean = X[mask].mean(axis=0), Y[mask].mean(axis=0)
+                    W = np.linalg.lstsq(X[mask] - x_mean, Y[mask] - y_mean, rcond=None)[0]
+                    pred = (X[slc] - x_mean) @ W + y_mean
+                else:
+                    pred = regression.fit_regressor(kind, X[mask], Y[mask], hyper).predict(X[slc])
+                row.append(regression.r2_vw(Y[slc], pred))
+            except InvalidSpecError as exc:
+                row.append(-math.inf)
+                failures.append((gi, fi, f"{type(exc).__name__}: {exc}"))
+        scores.append(tuple(row))
+    return tuple(scores), tuple(failures)
+
+
+class TestSharedRoutes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 60),
+        wide=st.booleans(),
+        n_out=st.integers(1, 3),
+    )
+    def test_ridge_matches_per_point_fits(self, seed, n, wide, n_out):
+        # p <= n/3 takes the eigh of Xc'Xc, p >= 2n that of Xc Xc'. The route
+        # solves the normal equations, whose prediction error grows as
+        # kappa(Xc)^2 * eps, while fit_ridge's corrected solve is near QR
+        # accuracy. Shapes this far from square keep kappa small, and at least
+        # six held-out rows keep |R^2| modest; differences stay below 1e-13,
+        # so 1e-10 bounds them with room for other BLAS builds.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2 * n, 3 * n + 1)) if wide else int(rng.integers(1, n // 3 + 1))
+        X = rng.standard_normal((n, p))
+        Y = X @ rng.standard_normal((p, n_out)) / math.sqrt(p) + rng.standard_normal((n, n_out))
+        spec = RegressorSpec("ridge", grid={"alpha": [0.0, 1e-3, 0.1, 10.0]}, seed=0)
+        fitted = grid_search_cv(spec, X, Y)
+        expected, _ = per_point_fold_scores("ridge", X, Y, spec.grid_points())
+        assert np.abs(np.array(fitted.fold_scores) - np.array(expected)).max() <= 1e-10
+        assert fitted.failures == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 50),
+        f=st.integers(1, 5),
+        n_out=st.integers(1, 3),
+        n_copies=st.integers(0, 10),
+    )
+    def test_knn_matches_per_point_fits(self, seed, n, f, n_out, n_copies):
+        # continuous rows, some copied into other folds so held-out queries
+        # match training rows exactly; k = n exceeds every fold's training rows
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, f))
+        X[rng.integers(0, n, n_copies)] = X[rng.integers(0, n, n_copies)]
+        Y = rng.standard_normal((n, n_out))
+        spec = RegressorSpec("knn", grid={"k": [1, 3, int(rng.integers(1, n // 2 + 1)), n]}, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted = grid_search_cv(spec, X, Y)
+        expected, failures = per_point_fold_scores("knn", X, Y, spec.grid_points())
+        assert fitted.fold_scores == expected
+        assert fitted.failures == failures
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 50),
+        f=st.integers(1, 3),
+        weights=st.sampled_from(["uniform", "distance"]),
+    )
+    def test_knn_ties_at_kth_neighbour(self, seed, n, f, weights):
+        # rows on a {0, 1, 2}^f lattice repeat, so many rows tie at the k-th
+        # distance; the lower row index wins each tie, as in the stable
+        # argsort of brute_force_knn, at every k and for every query depth
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (n, f)).astype(float)
+        Y = rng.standard_normal((n, 2))
+        queries = rng.integers(0, 3, (8, f)).astype(float)
+        ks = sorted({1, 2, int(rng.integers(1, n + 1)), n})
+        dist, idx = regression._nearest(scipy.spatial.KDTree(X), queries, max(ks))
+        for k in ks:
+            order, expected = brute_force_knn(X, Y, k, weights, queries)
+            assert np.array_equal(idx[:, :k], order)
+            pred = fit_knn(X, Y, k, weights).predict(queries)
+            assert np.abs(pred - expected).max() <= 1e-12 * np.abs(expected).max()
+        # k = n exceeds every fold's training rows and fails in each
+        spec = RegressorSpec("knn", grid={"k": ks, "weights": [weights]}, seed=0)
+        expected, failures = per_point_fold_scores("knn", X, Y, spec.grid_points())
+        fitted = grid_search_cv(spec, X, Y)
+        assert fitted.fold_scores == expected
+        assert fitted.failures == failures
 
 
 class TestPostprocess:
