@@ -18,6 +18,7 @@ sigma = 0, phi = 0, omega = 1 so no NaNs propagate.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .blocks import BlockPlan, WindowPlan, channel_major, channel_windows, window_diff_sumsq, window_sumsq
 from .errors import InvalidInputError
-from .signal_core import SignalMatrix, require_finite
+from .signal_core import SignalMatrix, _worker_pool, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,17 +139,29 @@ def extract_mld_bfm(
     x: SignalMatrix, block_plan: BlockPlan, window_plan: WindowPlan
 ) -> FeatureTensor:
     """MLD-BFM feature tensor: W x (3 * n_blocks), columns grouped per block
-    as [sigma, phi, omega] in block enumeration order."""
+    as [sigma, phi, omega] in block enumeration order.
+
+    Omega's work (each grid's window Gram matrices ``v @ v'``, the K x K
+    gather, ``eigvalsh`` and ``spectral_complexity``) runs on signal_core's
+    process-wide pool as items of one grid and one window chunk each, with
+    ``ceil(workers / grids)`` chunks per grid. Meanwhile the calling thread
+    forms sigma and phi from the window sums, then waits on the items and
+    re-raises an item's error. Each matrix comes from the same call on the
+    same data whatever the chunking, so the features are bit-identical on
+    any pool width."""
     require_finite(x)
     cm = channel_major(x.data)  # (C, S)
     L = window_plan.length
     n_b = block_plan.n_blocks
     K = block_plan.channels_per_block
+    idx = np.stack(block_plan.blocks)  # (n_B, K)
+    omega_vals = np.ones((window_plan.count, n_b))
+    items = [] if K == 1 else _submit_omega(cm, block_plan, window_plan, idx, omega_vals)
 
+    # The window sums stay on this thread: a tracer may wrap them, and its
+    # single span stack cannot take spans opened on pool threads.
     sumsq = window_sumsq(cm.T, window_plan)
     diffsq = window_diff_sumsq(cm.T, window_plan)
-    idx = np.stack(block_plan.blocks)  # (n_B, K)
-
     block_sumsq = sumsq[:, idx].sum(axis=-1)
     block_diffsq = diffsq[:, idx].sum(axis=-1)
 
@@ -157,22 +170,9 @@ def extract_mld_bfm(
         ratio = np.where(block_sumsq > 0.0, block_diffsq / np.where(block_sumsq > 0.0, block_sumsq, 1.0), 0.0)
     phi_vals = np.sqrt(ratio) * (x.fs / TWO_PI)
 
-    if K == 1:
-        omega_vals = np.ones_like(sig)
-    else:
-        omega_vals = np.empty((window_plan.count, n_b))
-        per_grid = {}
-        for b, gi in enumerate(block_plan.grid_index):
-            per_grid.setdefault(gi, []).append(b)
-        for gi, block_ids in per_grid.items():
-            g = block_plan.grids[gi]
-            gslice = slice(g.channel_offset, g.channel_offset + g.n_channels)
-            v = channel_windows(cm[gslice], window_plan, L).transpose(1, 0, 2)  # (W, G, L)
-            gram = v @ v.transpose(0, 2, 1)  # (W, G, G) = X^T X per window
-            local = idx[block_ids] - g.channel_offset  # (n_bg, K)
-            covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (W, n_bg, K, K)
-            omega_vals[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))
-
+    wait(items)  # so a failed call leaves no item running behind it
+    for item in items:
+        item.result()  # re-raises an item's error
     values = np.empty((window_plan.count, 3 * n_b))
     values[:, 0::3] = sig
     values[:, 1::3] = phi_vals
@@ -181,3 +181,34 @@ def extract_mld_bfm(
         mld_column_name(b, d) for b in range(n_b) for d in DESCRIPTOR_NAMES
     )
     return FeatureTensor(values=values, columns=columns)
+
+
+def _submit_omega(
+    cm: np.ndarray, block_plan: BlockPlan, window_plan: WindowPlan, idx: np.ndarray, out: np.ndarray
+) -> list[Future]:
+    """Queue the omega items; each writes its own (window chunk, grid blocks) cells of ``out``."""
+    workers, pool = _worker_pool()
+    per_grid: dict[int, list[int]] = {}
+    for b, gi in enumerate(block_plan.grid_index):
+        per_grid.setdefault(gi, []).append(b)
+    # more chunks per grid made large-B items too small to pay for themselves
+    # on 2 cores, and filtfilt's cache-sized chunks were slower still
+    n_chunks = -(-workers // len(per_grid))
+    W, L = window_plan.count, window_plan.length
+    bounds = sorted({W * k // n_chunks for k in range(n_chunks + 1)})
+    items = []
+    for gi, block_ids in per_grid.items():
+        g = block_plan.grids[gi]
+        rows = cm[g.channel_offset : g.channel_offset + g.n_channels]
+        v = channel_windows(rows, window_plan, L).transpose(1, 0, 2)  # (W, G, L)
+        local = idx[block_ids] - g.channel_offset  # (n_bg, K)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            items.append(pool.submit(_omega_chunk, v[lo:hi], local, block_ids, L, out[lo:hi]))
+    return items
+
+
+def _omega_chunk(v: np.ndarray, local: np.ndarray, block_ids: list[int], L: int, out: np.ndarray) -> None:
+    """Omega of one grid's blocks over a chunk of windows ``v`` (w, G, L), into ``out``'s rows."""
+    gram = v @ v.transpose(0, 2, 1)  # (w, G, G) = X^T X per window
+    covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (w, n_bg, K, K)
+    out[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))

@@ -489,7 +489,7 @@ def sfbs_select(
     while remaining:
         s = len(sel_cols)
         step_scores = np.empty(len(remaining))
-        border: dict[int, tuple] = {}
+        batches: list[tuple] = []  # per width: candidate positions and their batched factors
         by_width: dict[int, list[int]] = {}
         for i, block_id in enumerate(remaining):
             by_width.setdefault(len(groups[block_id]), []).append(i)
@@ -513,17 +513,17 @@ def sfbs_select(
                 - np.einsum("mkc,kcd->mkd", z[:, cand], w_c)
             )
             step_scores[idx] = 1.0 - np.einsum("mkd,mkd->k", resid, resid) / sst
-            w_s = w_s.reshape(s, k, n_out)
-            for j, i in enumerate(idx):
-                border[i] = (p[j].T, chol_c[j], fwd_c[j], np.vstack([w_s[:, j], w_c[j]]))
+            batches.append((idx, p, chol_c, fwd_c, w_s.reshape(s, k, n_out), w_c))
         # A block's entries of G depend in their last bits on where it sits in
         # X (BLAS tiling), so scores within rounding of the best count as tied
         # and go to the lowest block id, as exact ties do in a refit.
         top = step_scores.max()
         best = int(np.argmax(step_scores >= top - _TIE_TOL * max(1.0, abs(top))))
-        p_row, chol_b, fwd_b, w = border[best]
-        chol = np.block([[chol, np.zeros((s, len(chol_b)))], [p_row, chol_b]])
-        fwd = np.vstack([fwd, fwd_b])
+        idx, p, chol_c, fwd_c, w_s, w_c = next(b for b in batches if best in b[0])
+        j = idx.index(best)
+        chol = np.block([[chol, np.zeros((s, chol_c.shape[1]))], [p[j].T, chol_c[j]]])
+        fwd = np.vstack([fwd, fwd_c[j]])
+        w = np.vstack([w_s[:, j], w_c[j]])
         block_id = remaining.pop(best)
         selected.append(block_id)
         sel_cols = np.concatenate([sel_cols, groups[block_id]])

@@ -121,6 +121,7 @@ def _fit_inputs(kind: str, X, Y) -> tuple[np.ndarray, np.ndarray]:
 def fit_ridge(X, Y, alpha: float) -> LinearModel:
     """Closed-form multi-output ridge: W = (X^T X + alpha I)^-1 X^T Y on
     centered data, with an unpenalized intercept recovered from the means.
+    At alpha = 0 it is the minimum-norm least-squares fit (``lstsq``).
 
     The shared (pooled) output scaler leaves per-output mean offsets in
     place, so the intercept cannot come from scaling alone."""
@@ -130,14 +131,14 @@ def fit_ridge(X, Y, alpha: float) -> LinearModel:
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
     Yc = Y - y_mean
-    gram = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    rhs = Xc.T @ Yc
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True)
-        W = scipy.linalg.cho_solve(factor, rhs)
+    if alpha == 0.0:
+        # least squares: the minimum-norm fit, which CV scores too; a singular
+        # Xc'Xc can pass Cholesky in rounding and give another solution
+        W = np.linalg.lstsq(Xc, Yc, rcond=None)[0]
+    else:
+        factor = scipy.linalg.cho_factor(Xc.T @ Xc + alpha * np.eye(X.shape[1]), lower=True)
+        W = scipy.linalg.cho_solve(factor, Xc.T @ Yc)
         W += scipy.linalg.cho_solve(factor, ridge_residual(Xc, Yc, W, alpha))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        W = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     return LinearModel(kind="ridge", weights=W, intercept=y_mean - x_mean @ W, alpha=float(alpha))
 
 
@@ -509,7 +510,7 @@ def _ridge_fold(X, Y, queries, points: list[dict]):
 
     At alpha = 0, eigenvalues at or below ``max(lam) * max(n, p) * eps``
     (numpy's rank cutoff) count as zero: that is the minimum-norm least
-    squares fit, which ``fit_ridge``'s ``lstsq`` fallback also returns."""
+    squares fit, which ``fit_ridge`` also returns at alpha = 0."""
     X, Y = _fit_inputs("ridge", X, Y)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)

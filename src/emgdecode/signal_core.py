@@ -219,11 +219,13 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
     return sps.sosfiltfilt(coeffs.sos, values, axis=axis, padtype="odd", padlen=padlen)
 
 
-# One process-wide pool, created on first use and dropped in a forked child,
-# whose copy would wait forever on threads that the fork did not copy. It is
-# process-wide because a pool per call, though bit-identical and free of this
-# lock and fork hook, filtered one 5 s, 128-channel task in 46-47 ms instead
-# of 37-40 ms on 2 cores, paying for new threads on every call.
+# One process-wide pool, shared by ``filtfilt``'s channel chunks and
+# ``descriptors.extract_mld_bfm``'s omega items, created on first use and
+# dropped in a forked child, whose copy would wait forever on threads that
+# the fork did not copy. It is process-wide because a pool per call, though
+# bit-identical and free of this lock and fork hook, filtered one 5 s,
+# 128-channel task in 46-47 ms instead of 37-40 ms on 2 cores, paying for new
+# threads on every call.
 _pool: tuple[int, ThreadPoolExecutor] | None = None
 _pool_lock = threading.Lock()
 
@@ -237,7 +239,7 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _filter_pool() -> tuple[int, ThreadPoolExecutor]:
+def _worker_pool() -> tuple[int, ThreadPoolExecutor]:
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -245,13 +247,14 @@ def _filter_pool() -> tuple[int, ThreadPoolExecutor]:
                 workers = len(os.sched_getaffinity(0))
             else:  # platforms without CPU affinity
                 workers = os.cpu_count() or 1
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="emgdecode-filtfilt"))
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="emgdecode-worker"))
         return _pool
 
 
 def filter_workers() -> int:
-    """Threads ``filtfilt`` spreads channel rows over: one per core this process may run on."""
-    return _filter_pool()[0]
+    """Threads of the process-wide pool that ``filtfilt`` and
+    ``extract_mld_bfm`` spread their work over: one per core this process may run on."""
+    return _worker_pool()[0]
 
 
 def filtfilt(x: SignalMatrix, *coeffs: IIRCoefficients) -> SignalMatrix:
@@ -267,7 +270,7 @@ def filtfilt(x: SignalMatrix, *coeffs: IIRCoefficients) -> SignalMatrix:
         raise InvalidSpecError("filtfilt needs at least one filter")
     rows = x.data.T
     n_chan, n_samp = rows.shape
-    workers, pool = _filter_pool()
+    workers, pool = _worker_pool()
     n_chunks = max(1, min(n_chan, max(workers, round(n_chan * n_samp / 2**18))))
     bounds = [n_chan * k // n_chunks for k in range(n_chunks + 1)]
     out = np.empty((n_chan, n_samp))

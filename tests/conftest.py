@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from emgdecode import RunConfig, SynthConfig, fit_ridge, generate_tasks, r2_vw
+from emgdecode import RunConfig, SynthConfig, fit_ridge, generate_tasks, r2_vw, signal_core
 
 # desk-scale dataset reused across pipeline-level tests: short tasks, small
 # crop margins, default spatial layout and noise
@@ -27,3 +30,12 @@ def ridge_scorer(alpha: float = 1.0):
         return r2_vw(y_te, fit_ridge(x_tr, y_tr, alpha).predict(x_te))
 
     return fit_score
+
+
+@contextmanager
+def pool_of(workers: int):
+    """The process-wide pool (``filtfilt``, MLD-BFM omega items) swapped for
+    one of ``workers`` threads, as on a machine with that many cores."""
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(workers) as pool:
+        mp.setattr(signal_core, "_pool", (workers, pool))
+        yield

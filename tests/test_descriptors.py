@@ -1,6 +1,8 @@
 """MLD descriptors: hand-computed values, invariances, and the SVD oracle."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from emgdecode import (
     slice_segment,
     spectral_complexity,
 )
+from emgdecode import descriptors, signal_core
+from emgdecode.blocks import channel_windows
+
+from conftest import pool_of
 
 FS = 2052.52
 
@@ -260,3 +266,93 @@ class TestExtract:
                 extract_mav_wl(x, wp)
             else:
                 extract_mld_bfm(x, plan_blocks(x.grids, extractor, 1), wp)
+
+
+def serial_omega(x, bp, wp):
+    """Reference: omega of every window and block from one Gram product and
+    one ``eigvalsh`` call per grid on this thread, as before pooling."""
+    out = np.ones((wp.count, bp.n_blocks))
+    if bp.channels_per_block == 1:
+        return out
+    idx = np.stack(bp.blocks)
+    cm = np.ascontiguousarray(x.data.T)
+    for gi, g in enumerate(bp.grids):
+        block_ids = [b for b, i in enumerate(bp.grid_index) if i == gi]
+        rows = cm[g.channel_offset : g.channel_offset + g.n_channels]
+        v = channel_windows(rows, wp, wp.length).transpose(1, 0, 2)
+        gram = v @ v.transpose(0, 2, 1)
+        local = idx[block_ids] - g.channel_offset
+        covs = gram[:, local[:, :, None], local[:, None, :]] / wp.length
+        out[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))
+    return out
+
+
+def one_grid_signal(n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return SignalMatrix(rng.standard_normal((n_samples, 64)), fs=FS, grids=(GridLayout("EDC", 8, 8, 0),))
+
+
+class TestPooledExtract:
+    @pytest.mark.parametrize("layout", ["one-grid", "two-grid"])
+    @pytest.mark.parametrize("block_size", range(1, 9))
+    def test_equal_on_every_pool_width(self, layout, block_size):
+        # 1, 2, 3 and 5 windows: fewer, as many as and more than the workers
+        make = one_grid_signal if layout == "one-grid" else coded_signal
+        for n_windows in (1, 2, 3, 5):
+            x = make(n_samples=308 + 205 * (n_windows - 1), seed=block_size + n_windows)
+            wp = plan_windows(x.n_samples, 308, 103)
+            assert wp.count == n_windows
+            for step in (1, 2):
+                bp = plan_blocks(x.grids, block_size, step)
+                pooled = extract_mld_bfm(x, bp, wp).values
+                assert np.array_equal(pooled[:, 2::3], serial_omega(x, bp, wp))
+                for workers in (1, 3):
+                    with pool_of(workers):
+                        other = extract_mld_bfm(x, bp, wp).values
+                    assert pooled.tobytes() == other.tobytes(), (n_windows, step, workers)
+
+    def test_concurrent_callers_get_the_serial_result(self):
+        rng = np.random.default_rng(40)
+        signals = [coded_signal(n_samples=int(rng.integers(308, 2000)), seed=41 + i) for i in range(6)]
+        plans = [
+            (plan_blocks(x.grids, 2 + i % 3, 1), plan_windows(x.n_samples, 308, 103))
+            for i, x in enumerate(signals)
+        ]
+        with pool_of(1):
+            expected = [extract_mld_bfm(x, bp, wp).values for x, (bp, wp) in zip(signals, plans)]
+        results = [None] * len(signals)
+
+        def run(i):
+            results[i] = extract_mld_bfm(signals[i], *plans[i]).values
+
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signal_core, "_pool", None)  # callers also race to create the pool
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(signals))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(interval)
+                if signal_core._pool is not None:
+                    signal_core._pool[1].shutdown()
+        for got, want in zip(results, expected):
+            assert got is not None and got.tobytes() == want.tobytes()
+
+    def test_item_error_reaches_caller_and_pool_keeps_working(self):
+        x = coded_signal(n_samples=1500, seed=50)
+        wp = plan_windows(x.n_samples, 308, 103)
+        bp = plan_blocks(x.grids, 2, 1)
+
+        def fail(*args):
+            raise RuntimeError("omega item failed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(descriptors, "_omega_chunk", fail)
+            with pytest.raises(RuntimeError, match="omega item failed"):
+                extract_mld_bfm(x, bp, wp)
+        assert np.array_equal(extract_mld_bfm(x, bp, wp).values[:, 2::3], serial_omega(x, bp, wp))

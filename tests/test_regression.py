@@ -102,6 +102,20 @@ class TestRidge:
         resid = Y - model.predict(X)
         assert np.abs(X.T @ resid).max() <= 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 15), extra=st.integers(0, 20))
+    def test_alpha_zero_is_minimum_norm_fit_when_rank_deficient(self, seed, n, extra):
+        # p >= n: the centred rows have rank n - 1 at most, so Xc'Xc is
+        # singular and least squares has many solutions
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, n + extra))
+        Y = rng.standard_normal((n, 2))
+        x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+        W_min = np.linalg.pinv(X - x_mean) @ (Y - y_mean)
+        model = fit_ridge(X, Y, alpha=0.0)
+        assert np.abs(model.weights - W_min).max() <= 1e-8 * max(1.0, np.abs(W_min).max())
+        assert np.allclose(model.intercept, y_mean - x_mean @ W_min, rtol=1e-8, atol=1e-8)
+
     def test_huge_alpha_shrinks_to_zero(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((60, 5))
@@ -530,6 +544,22 @@ class TestGridSearch:
         fitted = grid_search_cv(RegressorSpec("ridge", seed=0), X, Y)
         assert fitted.hyperparams == {"alpha": 0.001}
 
+    def test_refit_at_alpha_zero_predicts_what_cv_scored(self):
+        # 10 rows and 10..29 columns: the refit's centred Gram matrix is
+        # singular; CV scores alpha = 0 as the minimum-norm fit, and the refit
+        # must be that fit too, not another least-squares solution
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(10, 30))
+            X = rng.standard_normal((10, p))
+            Y = rng.standard_normal((10, 2))
+            spec = RegressorSpec("ridge", grid={"alpha": [0.0]}, seed=0)
+            fitted = grid_search_cv(spec, X, Y)
+            queries = rng.standard_normal((8, p))
+            scored = regression._ridge_fold(X, Y, queries, spec.grid_points())({"alpha": 0.0})
+            gap = np.abs(fitted.model.predict(queries) - scored).max()
+            assert gap <= 1e-10 * max(1.0, np.abs(scored).max()), seed
+
     def test_deterministic_selection(self):
         rng = np.random.default_rng(21)
         X = rng.standard_normal((120, 4))
@@ -627,10 +657,7 @@ class TestGridSearch:
 def per_point_fold_scores(kind, X, Y, points, folds=5):
     """Reference for the shared CV routes: every grid point's fold scores
     from its own ``fit_*`` + ``predict`` + ``r2_vw``, and the failures as
-    (grid index, fold, reason). Ridge at alpha = 0 is the minimum-norm least-squares fit, what
-    ``fit_ridge``'s ``lstsq`` fallback returns: on a rank-deficient Gram
-    matrix its Cholesky factor can succeed in rounding and return another
-    least-squares solution."""
+    (grid index, fold, reason)."""
     n = X.shape[0]
     scores, failures = [], []
     for gi, hyper in enumerate(points):
@@ -639,12 +666,7 @@ def per_point_fold_scores(kind, X, Y, points, folds=5):
             mask = np.ones(n, dtype=bool)
             mask[slc] = False
             try:
-                if kind == "ridge" and hyper["alpha"] == 0.0:
-                    x_mean, y_mean = X[mask].mean(axis=0), Y[mask].mean(axis=0)
-                    W = np.linalg.lstsq(X[mask] - x_mean, Y[mask] - y_mean, rcond=None)[0]
-                    pred = (X[slc] - x_mean) @ W + y_mean
-                else:
-                    pred = regression.fit_regressor(kind, X[mask], Y[mask], hyper).predict(X[slc])
+                pred = regression.fit_regressor(kind, X[mask], Y[mask], hyper).predict(X[slc])
                 row.append(regression.r2_vw(Y[slc], pred))
             except InvalidSpecError as exc:
                 row.append(-math.inf)

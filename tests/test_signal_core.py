@@ -4,8 +4,6 @@ import math
 import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -32,6 +30,8 @@ from emgdecode import signal_core
 from emgdecode.blocks import plan_windows
 from emgdecode.signal_core import apply_filtfilt, assemble_split, split_chunks
 
+from conftest import pool_of
+
 FS = 2052.52
 
 
@@ -52,14 +52,6 @@ CASCADE_FILTERS = {
     "notch": design_butterworth(FilterSpec("notch", band=50.0, q=30.0), FS),
     "lowpass": design_butterworth(FilterSpec("lowpass", 4, 100.0), FS),
 }
-
-
-@contextmanager
-def one_worker_pool():
-    """``filtfilt`` on a single-thread pool, as on a one-core machine."""
-    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(1) as pool:
-        mp.setattr(signal_core, "_pool", (1, pool))
-        yield
 
 
 def _filter_in_child(x, coeffs, expected):
@@ -166,7 +158,7 @@ class TestFiltfilt:
         for c in coeffs:
             expected = apply_filtfilt(c, expected, axis=0)
         pooled = filtfilt(make_signal(raw), *coeffs).data
-        with one_worker_pool():
+        with pool_of(1):
             serial = filtfilt(make_signal(raw), *coeffs).data
         assert pooled.T.flags.c_contiguous and serial.T.flags.c_contiguous
         assert np.array_equal(pooled, expected)
