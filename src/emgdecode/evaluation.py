@@ -421,7 +421,9 @@ def group_columns_by_block(tensor: FeatureTensor) -> dict[int, np.ndarray]:
 
 
 # Relative score gap below which SFBS candidates tie: far above the rounding
-# of the Gram route (~1e-14), far below the 1e-10 agreement with refits.
+# of the carried-state candidate scores (at most 4.4e-15 from fit_ridge refits
+# over 7 sampled steps of the 98-block runs at bench and paper scale), far
+# below the 1e-10 agreement of recorded scores with refits.
 _TIE_TOL = 1e-12
 
 
@@ -438,12 +440,19 @@ def sfbs_select(
     intercept) on the train rows and ``r2_vw`` on the test rows, and keep the
     best. Ties, up to a relative 1e-12, break to the lowest block id.
 
-    The fits run in Gram space: ``G = Xc'Xc + alpha I`` and ``Xc'Yc`` are
-    formed once, the Cholesky factor ``L`` of the selected block of ``G`` is
-    kept, and each step scores all candidates of one width together through a
-    batch of c x c Schur complements. The chosen candidate borders ``L``, and
-    its recorded score comes from weights given one correction against the
-    train residual. Scores equal ``r2_vw`` of ``fit_ridge(alpha)`` refits up to rounding.
+    The fits run in Gram space on state carried across steps. With
+    ``G = Xc'Xc + alpha I``, ``L`` the Cholesky factor of ``G[S, S]`` for the
+    selected columns ``S`` and ``P = L^-1 G[S, :]``, the train side keeps the
+    Schur complement ``G - P'P`` and ``q = Xc'Yc - P' L^-1 Xc_S'Yc``; the test
+    side keeps ``E'E``, ``E'r`` and ``|r|^2``, where ``E = Z - Z_S L^-T P``
+    and ``r`` is the selected fit's test residual. A candidate ``C``'s weights
+    are ``a = (G - P'P)_CC^-1 q_C`` and its test SSE is
+    ``|r|^2 - 2 <a, (E'r)_C> + <a, (E'E)_CC a>``: O(c^2 d) per candidate,
+    no rows touched. The winner borders ``L`` and downdates both sides by
+    rank c, O(F^2 c) per step for F features. Its recorded score comes from
+    weights given one correction against the train residual, on its columns'
+    train and test rows, so scores equal ``r2_vw`` of ``fit_ridge(alpha)``
+    refits up to rounding.
     """
     alpha = _require_alpha(alpha)
     x_train, x_test = np.asarray(x_train, dtype=np.float64), np.asarray(x_test, dtype=np.float64)
@@ -472,69 +481,95 @@ def sfbs_select(
 
     x_mean, y_mean = x_train.mean(axis=0), y_train.mean(axis=0)
     xc = x_train - x_mean
-    gram = xc.T @ xc
-    gram[np.diag_indices_from(gram)] += alpha
     yc = (y_train - y_mean)[:, keep]
-    cross = xc.T @ yc
     z = x_test - x_mean
     resid0 = (y_test - y_mean)[:, keep]
-    m, n_out = resid0.shape
+    f = xc.shape[1]
+    # [G - P'P | q]: the Schur complement of the selected columns in the
+    # augmented Gram [Xc Yc]'[Xc Yc] + alpha I_f, P = L^-1 G[S, :]
+    schur = _gram(xc, yc)
+    schur[np.arange(f), np.arange(f)] += alpha
+    # [E r]'[E r], with E = Z - Z_S L^-T P and r the selected fit's test residual
+    test = _gram(z, resid0)
 
-    remaining = list(groups)
+    ids = list(groups)
+    widths: dict[int, list[int]] = {}
+    for pos, block_id in enumerate(ids):
+        widths.setdefault(len(groups[block_id]), []).append(pos)
+    # per width: the remaining candidates' positions in ids and their columns
+    by_width = {c: (pos, np.array([groups[ids[p]] for p in pos], dtype=np.intp)) for c, pos in widths.items()}
+    n_sel = len(all_cols)
+    chol = np.zeros((n_sel, n_sel))  # lower Cholesky factor of G[S, S], selection order
+    border = np.empty((n_sel, f + resid0.shape[1]))  # [P | L^-1 Xc_S'Yc]
+    xs = np.empty((len(xc), n_sel), order="F")
+    zs = np.empty((len(z), n_sel), order="F")
     selected: list[int] = []
-    sel_cols = np.empty(0, dtype=np.intp)
-    chol = np.empty((0, 0))  # lower Cholesky factor of gram[S, S]
-    fwd = np.empty((0, n_out))  # chol^-1 cross[S]
     scores: list[float] = []
-    while remaining:
-        s = len(sel_cols)
-        step_scores = np.empty(len(remaining))
-        batches: list[tuple] = []  # per width: candidate positions and their batched factors
-        by_width: dict[int, list[int]] = {}
-        for i, block_id in enumerate(remaining):
-            by_width.setdefault(len(groups[block_id]), []).append(i)
-        for idx in by_width.values():
-            cand = np.stack([groups[remaining[i]] for i in idx])  # (k, c)
-            k, c = cand.shape
-            # P = L^-1 G[S, C] for every candidate at once: (s, k*c) -> (k, s, c)
-            p = scipy.linalg.solve_triangular(chol, gram[np.ix_(sel_cols, cand.ravel())], lower=True)
-            p = p.reshape(s, k, c).transpose(1, 0, 2)
-            pt = p.transpose(0, 2, 1)
-            chol_c = np.linalg.cholesky(gram[cand[:, :, None], cand[:, None, :]] - pt @ p)
-            fwd_c = np.linalg.solve(chol_c, cross[cand] - pt @ fwd)
-            w_c = np.linalg.solve(chol_c.transpose(0, 2, 1), fwd_c)  # (k, c, d)
-            # block back-substitution for the selected weights of each candidate
-            w_s = scipy.linalg.solve_triangular(
-                chol, (fwd - p @ w_c).transpose(1, 0, 2).reshape(s, k * n_out), lower=True, trans="T"
-            )
-            resid = (
-                resid0[:, None, :]
-                - (z[:, sel_cols] @ w_s).reshape(m, k, n_out)
-                - np.einsum("mkc,kcd->mkd", z[:, cand], w_c)
-            )
-            step_scores[idx] = 1.0 - np.einsum("mkd,mkd->k", resid, resid) / sst
-            batches.append((idx, p, chol_c, fwd_c, w_s.reshape(s, k, n_out), w_c))
+    s = 0
+    while by_width:
+        sse_selected = np.trace(test[f:, f:])  # |r|^2
+        positions, sses = [], []
+        for pos, cand in by_width.values():
+            square = (cand[:, :, None], cand[:, None, :])
+            a = np.linalg.solve(schur[square], schur[cand, f:])  # (k, c, d) candidate weights
+            sses.append(sse_selected + np.einsum("kcd,kcd->k", a, test[square] @ a - 2.0 * test[cand, f:]))
+            positions.extend(pos)
+        step_scores = 1.0 - np.concatenate(sses) / sst
         # A block's entries of G depend in their last bits on where it sits in
         # X (BLAS tiling), so scores within rounding of the best count as tied
         # and go to the lowest block id, as exact ties do in a refit.
         top = step_scores.max()
-        best = int(np.argmax(step_scores >= top - _TIE_TOL * max(1.0, abs(top))))
-        idx, p, chol_c, fwd_c, w_s, w_c = next(b for b in batches if best in b[0])
-        j = idx.index(best)
-        chol = np.block([[chol, np.zeros((s, chol_c.shape[1]))], [p[j].T, chol_c[j]]])
-        fwd = np.vstack([fwd, fwd_c[j]])
-        w = np.vstack([w_s[:, j], w_c[j]])
-        block_id = remaining.pop(best)
+        best = min(np.asarray(positions)[step_scores >= top - _TIE_TOL * max(1.0, abs(top))])
+        block_id = ids[best]
+        win = groups[block_id]
+        c = len(win)
+        positions, cand = by_width[c]
+        i = positions.index(best)
+        del positions[i]
+        by_width[c] = (positions, np.delete(cand, i, axis=0))
+        if not positions:
+            del by_width[c]
+        # rank-c updates: the winner borders L, and both Gram blocks lose its part
+        l_w = np.linalg.cholesky(schur[np.ix_(win, win)])
+        q = _forward(l_w, schur[win])  # [P_W | fwd_W], the new rows of [P | fwd]
+        k = _forward(l_w, test[win])  # H'[E r], with H = E_W L_W^-T
+        hh = _forward(l_w, k[:, win].T)  # H'H
+        schur = _subtract_product(schur, q, q)
+        # [E r] -= H [P_W | fwd_W]
+        test = _subtract_product(test, np.vstack([q, k]), np.vstack([k - hh @ q, q]))
+        chol[s : s + c, :s] = border[:s, win].T
+        chol[s : s + c, s : s + c] = l_w
+        border[s : s + c] = q
+        xs[:, s : s + c] = xc[:, win]
+        zs[:, s : s + c] = z[:, win]
+        s += c
         selected.append(block_id)
-        sel_cols = np.concatenate([sel_cols, groups[block_id]])
         # the winner's score is recorded from weights corrected once against
         # the train residual, as fit_ridge does, which removes the Gram
         # route's kappa(G) * eps error on ill-conditioned steps
-        xs = xc[:, sel_cols]
-        w = w + scipy.linalg.cho_solve((chol, True), ridge_residual(xs, yc, w, alpha))
-        resid = resid0 - z[:, sel_cols] @ w
+        factor = chol[:s, :s]
+        w = scipy.linalg.solve_triangular(factor, border[:s, f:], lower=True, trans="T", check_finite=False)
+        w += scipy.linalg.cho_solve((factor, True), ridge_residual(xs[:, :s], yc, w, alpha), check_finite=False)
+        resid = resid0 - zs[:, :s] @ w
         scores.append(1.0 - float((resid * resid).sum()) / sst)
     return SFBSResult(order=tuple(selected), scores=tuple(scores), block_ids=tuple(sorted(groups)))
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a b]'[a b]``, Fortran-ordered for ``_subtract_product``."""
+    ab = np.hstack([a, b])
+    return np.asfortranarray(ab.T @ ab)
+
+
+def _forward(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lower^-1 b`` for a lower triangular ``lower``."""
+    return scipy.linalg.solve_triangular(lower, b, lower=True, check_finite=False)
+
+
+def _subtract_product(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``c - a'b``, written over a Fortran-ordered ``c`` by one BLAS call:
+    a temporary as large as ``c`` costs several times the product itself."""
+    return scipy.linalg.blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=True, overwrite_c=True)
 
 
 def _require_alpha(alpha: float) -> float:
@@ -552,15 +587,18 @@ def run_sfbs(
 ) -> tuple[SFBSResult, "ContributionMaps", BlockPlan, dict]:
     """SFBS over the MLD-BFM blocks of a dataset: extract features, split,
     scale once (per-column, so column subsets stay consistent), then run the
-    greedy selection with a fixed-alpha ridge scorer."""
+    greedy selection with a fixed-alpha ridge scorer. The manifest's
+    ``timings`` split the wall time into ``featurize_s`` and ``select_s``."""
     t_start = time.perf_counter()
     alpha = _require_alpha(alpha)
     # the scorer's alpha is fixed, so a grid, perhaps another model's, goes
     cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1, grid=None)
     features, targets, info = featurize(cfg, tasks)
+    t_select = time.perf_counter()
     _, split, _ = _scaled_split(cfg, features, targets)
     groups = group_columns_by_block(features[0])
     result = sfbs_select(split.x_train, split.y_train, split.x_test, split.y_test, groups, alpha)
+    t_end = time.perf_counter()
     block_plan: BlockPlan = info["_block_plan"]
     maps = contribution_map(result, block_plan)
     n_blocks = len(groups)
@@ -575,6 +613,8 @@ def run_sfbs(
             "n_features": int(split.x_train.shape[1]),
             "n_candidates": n_blocks * (n_blocks + 1) // 2,
         },
+        # featurize: read, filter, extract; select: split, scale and sfbs_select
+        "timings": {"featurize_s": t_select - t_start, "select_s": t_end - t_select},
         "wall_time_s": time.perf_counter() - t_start,
     }
     return result, maps, block_plan, manifest

@@ -503,34 +503,43 @@ def fit_regressor(kind: str, X, Y, hyper: dict, seed: int = 0):
 
 def _ridge_fold(X, Y, queries, points: list[dict]):
     """Ridge predictions of the queries at any grid alpha, from one
-    eigendecomposition per fold: ``Xc'Xc = V diag(lam) V'`` when p <= n,
-    else ``Xc Xc' = U diag(lam) U'`` (n x n, never p x p). Either way the
-    predictions are ``T diag(1 / (lam + alpha)) B + mean(Y)`` with ``T`` and
-    ``B`` fixed for the fold.
+    factorization per fold: with ``Xc'Xc = V diag(lam) V'`` the predictions
+    are ``T diag(1 / (lam + alpha)) B + mean(Y)`` with ``T = Q V`` (``Q``
+    the centred queries) and ``B = V'Xc'Yc`` fixed for the fold.
 
-    At alpha = 0, eigenvalues at or below ``max(lam) * max(n, p) * eps``
-    (numpy's rank cutoff) count as zero: that is the minimum-norm least
-    squares fit, which ``fit_ridge`` also returns at alpha = 0."""
+    Without alpha = 0 in the grid that is one eigendecomposition of
+    ``Xc'Xc`` when p <= n, else of ``Xc Xc'`` (n x n, never p x p). With it,
+    it is one thin SVD ``Xc = U diag(s) V'`` (``lam = s^2``,
+    ``B = diag(s) U'Yc``), and at alpha = 0 singular values at or below
+    ``max(s) * max(n, p) * eps`` count as zero: ``lstsq``'s cutoff, so CV
+    scores the minimum-norm fit ``fit_ridge`` refits at alpha = 0. The Gram
+    route cannot stand in for it, as its eigenvalues lose the singular
+    values below about sqrt(eps) of the largest."""
     X, Y = _fit_inputs("ridge", X, Y)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
+    Yc = Y - y_mean
     Q = np.asarray(queries, dtype=np.float64) - x_mean
     n, p = Xc.shape
-    if p <= n:
+    live = True
+    if any(hyper["alpha"] == 0.0 for hyper in points):
+        U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+        lam, B, T = s * s, s[:, None] * (U.T @ Yc), Q @ Vt.T
+        live = s > s[0] * max(n, p) * np.finfo(np.float64).eps
+    elif p <= n:
         lam, V = np.linalg.eigh(Xc.T @ Xc)
-        B = V.T @ (Xc.T @ (Y - y_mean))
+        B = V.T @ (Xc.T @ Yc)
         T = Q @ V
     else:
         lam, U = np.linalg.eigh(Xc @ Xc.T)
-        B = U.T @ (Y - y_mean)
+        B = U.T @ Yc
         T = (Q @ Xc.T) @ U
     lam = np.maximum(lam, 0.0)
-    cutoff = lam[-1] * max(n, p) * np.finfo(np.float64).eps
 
     def predict(hyper: dict) -> np.ndarray:
         alpha = hyper["alpha"]
-        scale = np.divide(1.0, lam + alpha, out=np.zeros_like(lam), where=alpha > 0 or lam > cutoff)
+        scale = np.divide(1.0, lam + alpha, out=np.zeros_like(lam), where=(alpha > 0) | live)
         return T @ (scale[:, None] * B) + y_mean
 
     return predict

@@ -309,6 +309,10 @@ class TestSfbs:
         assert stages["n_candidates"] == 18 * 19 // 2
         assert stages["n_train_rows"] > 0 and stages["n_test_rows"] > 0
         assert manifest["wall_time_s"] > 0
+        timings = manifest["timings"]
+        assert set(timings) == {"featurize_s", "select_s"}
+        assert 0 < timings["featurize_s"] and 0 < timings["select_s"]
+        assert timings["featurize_s"] + timings["select_s"] <= manifest["wall_time_s"]
 
     def test_contribution_map_values_are_numbers(self, dataset, tmp_path):
         root, ds = dataset

@@ -623,6 +623,30 @@ class TestSfbs:
         if duplicate:
             assert result.order.index(0) < result.order.index(len(widths))
 
+    @pytest.mark.parametrize("seed, alpha", [(0, 1.0), (1, 1.0), (2, 1e-2)])
+    def test_long_run_matches_from_scratch_greedy(self, seed, alpha):
+        # 32 blocks of widths 1-4 and a copy of block 3: state carried over
+        # 33 steps must not drift from refits, and the copy ties with block 3
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 5, size=32)
+        n_train, n_test = 60, 40
+        x = rng.standard_normal((n_train + n_test, widths.sum()))
+        bounds = np.cumsum([0, *widths])
+        groups = {b: np.arange(bounds[b], bounds[b + 1]) for b in range(len(widths))}
+        y = sum(x[:, groups[b]] @ rng.standard_normal((widths[b], 3)) for b in (3, 7, 20))
+        y += 0.5 * rng.standard_normal(y.shape)
+        x = np.hstack([x, x[:, groups[3]]])
+        groups[len(widths)] = np.arange(bounds[-1], x.shape[1])
+        split = (x[:n_train], y[:n_train], x[n_train:], y[n_train:])
+        result = sfbs_select(*split, groups, alpha=alpha)
+        order, scores = greedy_from_scratch(*split, groups, ridge_scorer(alpha))
+        assert result.order == order
+        assert np.abs(np.array(result.scores) - scores).max() <= 1e-10
+        assert result.order.index(3) < result.order.index(len(widths))
+        again = sfbs_select(*split, groups, alpha=alpha)
+        assert again.order == result.order
+        assert np.array_equal(np.array(again.scores), np.array(result.scores))
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
     def test_alpha_must_be_finite_and_positive(self, alpha):
         tensor, y = planted_block_data(0, n_blocks=3, rows=40)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emgdecode import (
@@ -559,6 +559,23 @@ class TestGridSearch:
             scored = regression._ridge_fold(X, Y, queries, spec.grid_points())({"alpha": 0.0})
             gap = np.abs(fitted.model.predict(queries) - scored).max()
             assert gap <= 1e-10 * max(1.0, np.abs(scored).max()), seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0))
+    @example(seed=0, log_cond=8.0)
+    def test_cv_at_alpha_zero_predicts_refit_when_ill_conditioned(self, seed, log_cond):
+        # full rank, singular values 1 .. 10^-log_cond: the Gram route loses
+        # the smallest below ~1e-8 and parts from lstsq by the predictions' scale
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((40, 6))
+        U, _ = np.linalg.qr(Z - Z.mean(axis=0))  # centred columns: Xc keeps the spectrum
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        X = (U * np.geomspace(1.0, 10.0**-log_cond, 6)) @ V.T + rng.standard_normal(6)
+        Y = rng.standard_normal((40, 2))
+        queries = rng.standard_normal((8, 6))
+        scored = regression._ridge_fold(X, Y, queries, [{"alpha": 0.0}])({"alpha": 0.0})
+        refit = fit_ridge(X, Y, alpha=0.0).predict(queries)
+        assert np.abs(refit - scored).max() <= 1e-9 * max(1.0, np.abs(refit).max())
 
     def test_deterministic_selection(self):
         rng = np.random.default_rng(21)
