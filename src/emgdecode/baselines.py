@@ -52,7 +52,10 @@ class DecompositionModel:
 
     ``components`` is (n_comp, C). For PCA, ``mean`` holds the training
     channel means and components are orthonormal eigenvectors; for NMF both
-    the basis and any encodings are elementwise nonnegative.
+    the basis and any encodings are elementwise nonnegative. NMF also keeps
+    the objective before and after each iteration, and ``converged``: whether
+    the relative-decrease test stopped the updates (False when ``max_iter``
+    did; None for PCA).
     """
 
     kind: str
@@ -61,6 +64,12 @@ class DecompositionModel:
     mean: np.ndarray
     eigenvalues: np.ndarray | None = None
     objective: tuple[float, ...] = field(default=())
+    converged: bool | None = None
+
+    @property
+    def n_iter(self) -> int:
+        """NMF iterations run (0 for PCA)."""
+        return max(len(self.objective) - 1, 0)
 
 
 def fit_pca(rms_train, n_comp: int) -> DecompositionModel:
@@ -175,13 +184,14 @@ def fit_nmf(rms_train, n_comp: int, seed: int) -> DecompositionModel:
         raise InvalidSpecError(
             f"n_comp={n_comp} must lie in [1, min(rows={rows}, channels={n_ch})]"
         )
-    _, H, objective, _ = _nmf_factorize(A, n_comp, seed)
+    _, H, objective, converged = _nmf_factorize(A, n_comp, seed)
     return DecompositionModel(
         kind="nmf",
         components=H,
         n_comp=n_comp,
         mean=np.zeros(n_ch),
         objective=tuple(objective),
+        converged=converged,
     )
 
 

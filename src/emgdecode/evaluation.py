@@ -202,6 +202,8 @@ def _decompose_stage(
         model = fit_pca(rms_train, n_comp)
     else:
         model = fit_nmf(rms_train, n_comp, seed=decomp_seed)
+        info["decomposition_n_iter"] = model.n_iter
+        info["decomposition_converged"] = model.converged
     projected = [transform(model, tensor) for tensor in features]
     return projected, info
 
@@ -306,21 +308,25 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
         raise
     except Exception as exc:
         raise PipelineError("extract", str(exc)) from exc
-    return _decode_featurized(config, features, targets, info, t_start)
+    t_featurized = time.perf_counter()
+    return _decode_featurized(config, features, targets, info, t_featurized, t_featurized - t_start)
 
 
 def _decode_featurized(
-    config: RunConfig, features: list, targets: list, info: dict, t_start: float
+    config: RunConfig, features: list, targets: list, info: dict, t_start: float, featurize_s: float = 0.0
 ) -> PipelineResult:
-    """``run_pipeline`` after ``featurize``: PCA/NMF for those features, then
-    ``decode_features``; the manifest gains ``info``'s stages and the wall
-    time since ``t_start``."""
+    """``run_pipeline`` after ``featurize``, which took ``featurize_s`` up to
+    ``t_start``: PCA/NMF for those features, then ``decode_features``. The
+    manifest gains ``info``'s stages, ``timings`` of ``featurize_s``,
+    ``decompose_s`` (0 for features without PCA/NMF) and ``model_s``, and
+    their sum as ``wall_time_s``."""
     decomp_info: dict = {}
     if config.feature in ("pca", "nmf"):
         try:
             features, decomp_info = _decompose_stage(config, features, targets)
         except Exception as exc:
             raise PipelineError("decompose", str(exc)) from exc
+    t_decomposed = time.perf_counter()
 
     try:
         result = decode_features(config, features, targets, info["labels"], info["pred_rate"])
@@ -328,7 +334,13 @@ def _decode_featurized(
         raise PipelineError("model", str(exc)) from exc
     manifest = result.manifest
     manifest["stages"] = {**_featurize_stages(info), **decomp_info, **manifest["stages"]}
-    manifest["wall_time_s"] = time.perf_counter() - t_start
+    t_end = time.perf_counter()
+    manifest["timings"] = {
+        "featurize_s": featurize_s,
+        "decompose_s": t_decomposed - t_start,
+        "model_s": t_end - t_decomposed,
+    }
+    manifest["wall_time_s"] = featurize_s + (t_end - t_start)
     return result
 
 

@@ -219,10 +219,10 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
     return sps.sosfiltfilt(coeffs.sos, values, axis=axis, padtype="odd", padlen=padlen)
 
 
-# One process-wide pool, shared by ``filtfilt``'s channel chunks and
-# ``descriptors.extract_mld_bfm``'s omega items, created on first use and
-# dropped in a forked child, whose copy would wait forever on threads that
-# the fork did not copy. It is process-wide because a pool per call, though
+# One process-wide pool, shared by ``filtfilt``'s channel chunks,
+# ``descriptors.extract_mld_bfm``'s omega items and ``synth.generate_tasks``'s
+# tasks, created on first use and dropped in a forked child, whose copy would
+# wait forever on threads that the fork did not copy. It is process-wide because a pool per call, though
 # bit-identical and free of this lock and fork hook, filtered one 5 s,
 # 128-channel task in 46-47 ms instead of 37-40 ms on 2 cores, paying for new
 # threads on every call.
@@ -252,8 +252,8 @@ def _worker_pool() -> tuple[int, ThreadPoolExecutor]:
 
 
 def filter_workers() -> int:
-    """Threads of the process-wide pool that ``filtfilt`` and
-    ``extract_mld_bfm`` spread their work over: one per core this process may run on."""
+    """Threads of the process-wide pool that ``filtfilt``, ``extract_mld_bfm``
+    and ``generate_tasks`` spread their work over: one per core this process may run on."""
     return _worker_pool()[0]
 
 

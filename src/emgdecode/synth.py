@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -29,6 +30,7 @@ from .signal_core import (
     GridLayout,
     SignalMatrix,
     Trajectory,
+    _worker_pool,
     apply_filtfilt,
     default_grids,
     design_butterworth,
@@ -64,6 +66,11 @@ DEFAULT_CENTERS_FDS: tuple[tuple[float, float], ...] = (
     (4.5, 5.0),
     (5.5, 6.0),
 )
+
+# Butterworth order of the carrier bandpass; ``apply_filtfilt`` pads its
+# input by 3 x its 2 x order poles, so a signal must be longer than that.
+_CARRIER_ORDER = 4
+_CARRIER_PADLEN = 3 * 2 * _CARRIER_ORDER
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,13 @@ class SynthConfig:
         band = self.carrier_band
         if len(band) != 2 or not 0 < band[0] < band[1] < self.fs / 2:
             raise bad("carrier_band", f"must be (low, high), 0 < low < high < fs/2 = {self.fs / 2}")
+        n_kin, n_sig = (int(round(self.duration_s * rate)) for rate in (self.fs_kin, self.fs))
+        if n_kin < 2 or n_sig <= _CARRIER_PADLEN:
+            raise bad(
+                "duration_s",
+                f"must give at least 2 samples at fs_kin and more than {_CARRIER_PADLEN} "
+                "(the carrier filter's padding) at fs",
+            )
         if not 0 < self.powerline_hz < self.fs / 2:
             raise bad("powerline_hz", f"must lie inside (0, fs/2 = {self.fs / 2})")
         n_fingers = len(FINGER_LABELS)
@@ -155,6 +169,12 @@ def _angles_at(cfg: SynthConfig, params, t: np.ndarray) -> np.ndarray:
 
 def generate_task(cfg: SynthConfig, task_index: int) -> tuple[SignalMatrix, Trajectory]:
     """One task's synchronized recording pair (HD sEMG, joint angles)."""
+    return _generate(cfg, task_index)
+
+
+def _generate(cfg: SynthConfig, task_index: int) -> tuple[SignalMatrix, Trajectory]:
+    # ``generate_tasks`` runs this on pool threads, not the public
+    # ``generate_task``, which a tracer with a single span stack may wrap
     active = cfg.tasks[task_index]
     rng = _task_rng(cfg, task_index)
     params = _angle_params(rng, active)
@@ -178,10 +198,8 @@ def generate_task(cfg: SynthConfig, task_index: int) -> tuple[SignalMatrix, Traj
 
     grids = default_grids()
     carrier_coeffs = design_butterworth(
-        FilterSpec(kind="bandpass", order=4, band=cfg.carrier_band), fs=cfg.fs
+        FilterSpec(kind="bandpass", order=_CARRIER_ORDER, band=cfg.carrier_band), fs=cfg.fs
     )
-    # output allocated before the temporaries, noise scaled in place: else their
-    # heap holes raised perfbench's peak RSS by 9-36 MB for most hash seeds
     data = np.empty((n_sig, sum(g.n_channels for g in grids)))
     sources = np.empty((n_sig, len(drives) * len(grids)))
     feet = np.zeros((sources.shape[1], data.shape[1]))
@@ -194,22 +212,54 @@ def generate_task(cfg: SynthConfig, task_index: int) -> tuple[SignalMatrix, Traj
             sources[:, j] = gain * envelope * carrier
             sl = slice(grid.channel_offset, grid.channel_offset + grid.n_channels)
             feet[j, sl] = _footprint(grid, centers[gi], spread)
-    np.matmul(sources, feet, out=data)
-    if cfg.noise > 0:
-        noise = rng.standard_normal(data.shape)
-        noise *= cfg.noise
-        data += noise
+    _mix(sources, feet, rng, cfg.noise, out=data)
     if cfg.powerline > 0:
         phase = rng.uniform(0.0, 2.0 * math.pi)
         data += cfg.powerline * np.sin(2.0 * math.pi * cfg.powerline_hz * t_sig + phase)[:, None]
     return SignalMatrix(data=data, fs=cfg.fs, grids=grids), traj
 
 
+def _mix(
+    sources: np.ndarray, feet: np.ndarray, rng: np.random.Generator, noise: float, out: np.ndarray
+) -> None:
+    """``out = sources @ feet`` plus ``noise`` times standard normal draws in
+    C order, bit-equal to the whole-array expression.
+
+    It works in even row chunks of about 2 MB of output (``filtfilt``'s
+    rule), drawing each chunk's noise into one reused buffer: with tasks
+    generated two at a time, whole-array noise temporaries doubled the live
+    arrays above eight 10 s recordings, from 24 to 47 MiB; chunked it is 10
+    MiB. Even chunks, not fixed ones with a remainder, because numpy
+    multiplies a one-row chunk by a matrix-vector route that rounds
+    differently from the matrix product."""
+    n_rows = out.shape[0]
+    n_chunks = max(1, round(out.size / 2**18))
+    bounds = [n_rows * k // n_chunks for k in range(n_chunks + 1)]
+    buf = np.empty((-(-n_rows // n_chunks), out.shape[1])) if noise > 0 else None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(sources[lo:hi], feet, out=out[lo:hi])
+        if buf is not None:
+            draws = rng.standard_normal(out=buf[: hi - lo])
+            draws *= noise
+            out[lo:hi] += draws
+
+
 def iter_tasks(cfg: SynthConfig) -> Iterator[tuple[SignalMatrix, Trajectory]]:
-    """Lazily generate all tasks (one raw recording in memory at a time)."""
+    """Lazily generate the tasks in order, one ``generate_task`` call each on
+    the calling thread: one raw recording in memory at a time."""
     for i in range(len(cfg.tasks)):
         yield generate_task(cfg, i)
 
 
 def generate_tasks(cfg: SynthConfig) -> list[tuple[SignalMatrix, Trajectory]]:
-    return list(iter_tasks(cfg))
+    """Every task, generated concurrently: one item per task on
+    ``signal_core``'s per-core pool, each drawing from its own per-task
+    seed, so the result equals ``[generate_task(cfg, i) ...]`` bit for bit
+    on any pool width. It holds all recordings at the end, and while it runs
+    up to one task's working arrays (its sources and ~2 MB chunk buffer) per
+    worker on top. Waits for every item, then re-raises the first failure
+    in task order."""
+    _, pool = _worker_pool()
+    items = [pool.submit(_generate, cfg, i) for i in range(len(cfg.tasks))]
+    wait(items)  # so a failed call leaves no item running behind it
+    return [item.result() for item in items]

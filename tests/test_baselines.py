@@ -85,6 +85,7 @@ class TestPca:
         direction = np.array([1.0, 2.0, -1.0, 0.5])
         data = rng.standard_normal(300)[:, None] * direction[None, :]
         model = fit_pca(tensor_of(data), 1)
+        assert (model.n_iter, model.converged) == (0, None)
         rec = reconstruct(model, transform(model, tensor_of(data)))
         assert r2_var(data, rec) == pytest.approx(1.0, abs=1e-10)
 
@@ -183,6 +184,8 @@ class TestNmf:
         _, _, objective, converged = _nmf_factorize(data, 4, seed=1)
         assert converged
         n_iter = len(objective) - 1
+        model = fit_nmf(tensor_of(data), 4, seed=1)
+        assert model.converged is True and model.n_iter == n_iter
         # capped exactly where the test fires: still converged
         _, _, same, converged = _nmf_factorize(data, 4, seed=1, max_iter=n_iter)
         assert converged and same == objective

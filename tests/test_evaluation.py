@@ -33,6 +33,7 @@ from emgdecode import (
     extract_mld_bfm,
     extract_rms,
     filtfilt,
+    fit_nmf,
     group_columns_by_block,
     mae,
     pearson,
@@ -223,6 +224,11 @@ class TestPipeline:
         assert m["stages"]["hyperparams"].keys() == {"alpha"}
         assert m["stages"]["postfilter_bypassed"] is True
         assert "wall_time_s" in m
+        timings = m["timings"]
+        assert set(timings) == {"featurize_s", "decompose_s", "model_s"}
+        assert timings["featurize_s"] > 0 and timings["model_s"] > 0
+        assert timings["decompose_s"] < 0.05  # MLD-BFM: no PCA/NMF
+        assert sum(timings.values()) == pytest.approx(m["wall_time_s"], rel=1e-12)
 
     def test_pipeline_deterministic(self, small_tasks, small_config):
         a = run_pipeline(small_config, iter(small_tasks))
@@ -750,6 +756,20 @@ class TestDecompositionPipeline:
         # a factorisation that did not converge ran to max_iter = 500
         assert all(1 <= n <= 500 and (done or n == 500) for n, done in zip(n_iter, converged))
         assert json.loads(json.dumps(stages))["component_converged"] == converged
+        # the refit of the chosen count records its own convergence
+        train = np.concatenate([f.values[:20] for f in features])
+        refit = fit_nmf(train, stages["n_components"], seed=evaluation._seed_for(2, evaluation._SEED_DECOMP))
+        assert stages["decomposition_n_iter"] == refit.n_iter == len(refit.objective) - 1
+        assert stages["decomposition_converged"] is refit.converged
+        assert refit.converged or refit.n_iter == 500
+
+    def test_nmf_pipeline_times_its_decomposition(self, small_tasks, small_config):
+        res = run_pipeline(small_config.replace(feature="nmf", n_components=3), iter(small_tasks))
+        stages, timings = res.manifest["stages"], res.manifest["timings"]
+        assert isinstance(stages["decomposition_n_iter"], int) and stages["decomposition_n_iter"] >= 1
+        assert isinstance(stages["decomposition_converged"], bool)
+        assert min(timings.values()) > 0
+        assert sum(timings.values()) == pytest.approx(res.manifest["wall_time_s"], rel=1e-12)
 
     def test_pinned_component_count(self, small_tasks, small_config):
         res = run_pipeline(

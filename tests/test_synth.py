@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from emgdecode.signal_core import (
     design_butterworth,
 )
 from emgdecode.synth import DEFAULT_TASKS
+
+from conftest import pool_of
 
 
 def loop_generate_task(cfg: SynthConfig, task_index: int):
@@ -283,6 +287,7 @@ class TestConfig:
             ("tasks", ()),
             ("centers_edc", ((1.0, 5.5), (1.5, 4.0), (2.5, 5.5), (3.5, 4.5))),
             ("centers_fds", ((2.0, 6.0), (2.5, 4.5), (3.5, 6.0), (4.5, 5.0), (8.5, 6.0))),
+            ("duration_s", 0.011),  # one kinematic sample
         ],
     )
     def test_bad_field_rejected(self, field, value):
@@ -290,3 +295,106 @@ class TestConfig:
             SynthConfig(**{field: value})
         assert f"SynthConfig.{field} " in str(info.value)
         assert repr(value) in str(info.value)
+
+    def test_signal_within_carrier_padding_rejected(self):
+        # 12 kinematic samples at 1 kHz, but 21 signal samples: no more than
+        # the carrier filter's padding of 3 x 8 poles
+        with pytest.raises(ConfigError, match=r"SynthConfig\.duration_s .*got 0\.01$"):
+            SynthConfig(fs_kin=1000.0, duration_s=0.01)
+        shortest = SynthConfig(fs_kin=1000.0, duration_s=25 / SynthConfig.fs, tasks=((1,),))
+        (x, traj), = generate_tasks(shortest)
+        assert (x.n_samples, traj.angles.shape[0]) == (25, 12)
+
+
+def assert_same_tasks(got, expected):
+    assert len(got) == len(expected)
+    for (x, traj), (ref_x, ref_traj) in zip(got, expected):
+        assert x.data.tobytes() == ref_x.data.tobytes()
+        assert traj.angles.tobytes() == ref_traj.angles.tobytes()
+        assert (x.fs, x.grids, traj.fs_kin) == (ref_x.fs, ref_x.grids, ref_traj.fs_kin)
+
+
+# 2.37 s is 4864 signal samples, not a multiple of the 2048 rows that make
+# 2 MB of 128 channels: the mixing takes two even chunks of 2432 rows
+POOLED = [
+    SynthConfig(seed=8, duration_s=2.37),
+    SynthConfig(seed=9, duration_s=2.37, noise=0.0),
+    CUSTOM,
+]
+
+
+class TestGenerateTasks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cfg", POOLED, ids=["default", "noise0", "custom"])
+    def test_pool_equals_serial_generate_task(self, cfg, workers):
+        serial = [generate_task(cfg, i) for i in range(len(cfg.tasks))]
+        with pool_of(workers):
+            pooled = generate_tasks(cfg)
+        assert_same_tasks(pooled, serial)
+        assert_same_tasks(list(synth.iter_tasks(cfg)), serial)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 2047, 2048, 2049, 3073, 4864, 6145])
+    @pytest.mark.parametrize("n_chan, noise", [(128, 1.0), (128, 0.0), (100, 0.3)])
+    def test_chunked_mix_equals_whole_array(self, n_rows, n_chan, noise):
+        rng = np.random.default_rng(n_rows)
+        sources, feet = rng.standard_normal((n_rows, 12)), rng.random((12, n_chan))
+        ref = sources @ feet
+        ref_rng, mix_rng = np.random.default_rng(1), np.random.default_rng(1)
+        if noise > 0:
+            draws = ref_rng.standard_normal(ref.shape)
+            draws *= noise
+            ref += draws
+        out = np.empty((n_rows, n_chan))
+        synth._mix(sources, feet, mix_rng, noise, out=out)
+        assert out.tobytes() == ref.tobytes()
+        # the draws after the mixing (the powerline phase) are unchanged too
+        assert mix_rng.uniform() == ref_rng.uniform()
+
+    def test_pool_bypasses_wrapped_generate_task(self):
+        """A tracer wraps ``generate_task`` with one span stack, which pool
+        threads would corrupt: ``generate_tasks`` does not call it, and
+        ``iter_tasks`` calls it on the calling thread only."""
+        cfg = POOLED[0]
+        expected = [generate_task(cfg, i) for i in range(len(cfg.tasks))]
+        caller, stack, calls = threading.get_ident(), [], []
+        real = synth.generate_task
+
+        def traced(cfg, i):
+            if threading.get_ident() != caller:
+                raise RuntimeError("generate_task called off the calling thread")
+            stack.append(i)
+            try:
+                return real(cfg, i)
+            finally:
+                if stack.pop() != i:
+                    raise RuntimeError(f"span {i} closed out of order")
+                calls.append(i)
+
+        with pytest.MonkeyPatch.context() as mp, pool_of(2):
+            mp.setattr(synth, "generate_task", traced)
+            assert_same_tasks(synth.generate_tasks(cfg), expected)
+            assert calls == []
+            assert_same_tasks(list(synth.iter_tasks(cfg)), expected)
+            assert calls == list(range(len(cfg.tasks)))
+
+    def test_first_failure_in_task_order_after_every_item(self):
+        cfg = SynthConfig(seed=1, duration_s=0.5, tasks=DEFAULT_TASKS[:6])
+        real, finished = synth._generate, []
+
+        def flaky(cfg, i):
+            if i == 3:  # fails first in time, later in task order
+                finished.append(i)
+                raise ValueError("task 3 failed")
+            time.sleep(0.05)
+            finished.append(i)
+            if i == 1:
+                raise ValueError("task 1 failed")
+            return real(cfg, i)
+
+        with pytest.MonkeyPatch.context() as mp, pool_of(2):
+            mp.setattr(synth, "_generate", flaky)
+            with pytest.raises(ValueError, match="task 1 failed"):
+                generate_tasks(cfg)
+            assert sorted(finished) == list(range(6))
+        # the pool keeps working
+        assert_same_tasks(generate_tasks(cfg), [generate_task(cfg, i) for i in range(6)])
