@@ -135,6 +135,8 @@ def _nndsvd(A: np.ndarray, n_comp: int, rng: np.random.Generator) -> tuple[np.nd
 
 
 _MU_EPS = 1e-12
+_PLATEAU_MIN_POINTS = 3  # shortest curve suffix the plateau rule fits a line to
+_MAX_COMPONENTS = 19  # longest variance-explained curve
 
 
 def _nmf_factorize(
@@ -257,13 +259,13 @@ def r2_var(original, reconstructed) -> float:
     return float(np.mean(scores))
 
 
-def plateau_point(curve: Sequence[float], threshold: float, min_points: int = 3) -> tuple[int, bool]:
+def plateau_point(curve: Sequence[float], threshold: float) -> tuple[int, bool]:
     """First index (1-based) whose curve suffix fits a line with MSE below
-    ``threshold``. Suffixes shorter than ``min_points`` are not considered;
+    ``threshold``. Suffixes shorter than ``_PLATEAU_MIN_POINTS`` are skipped;
     if no suffix qualifies the last point is returned with a False flag."""
     y = np.asarray(curve, dtype=np.float64)
     n = y.shape[0]
-    for i in range(0, n - min_points + 1):
+    for i in range(0, n - _PLATEAU_MIN_POINTS + 1):
         seg = y[i:]
         t = np.arange(seg.shape[0], dtype=np.float64)
         coeffs = np.polyfit(t, seg, 1)
@@ -292,11 +294,10 @@ def select_components(
     kind: str,
     mse_threshold: float = 1e-6,
     seed: int = 0,
-    max_components: int = 19,
 ) -> ComponentSelection:
     """Plateau-based choice of the component count.
 
-    Builds the variance-explained curve for 1..max_components components,
+    Builds the variance-explained curve for 1..``_MAX_COMPONENTS`` components,
     then returns the first point whose curve suffix is linear within the MSE
     threshold. Falls back to the maximum with a warning flag when no suffix
     qualifies.
@@ -307,7 +308,7 @@ def select_components(
         raise InvalidSpecError(f"unknown decomposition kind {kind!r}")
     X = _values(rms_train)
     rows, n_ch = X.shape
-    n_max = min(max_components, rows, n_ch)
+    n_max = min(_MAX_COMPONENTS, rows, n_ch)
     curve, n_iter, converged = [], [], []
     if kind == "pca":
         full = fit_pca(X, n_max)

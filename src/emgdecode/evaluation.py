@@ -3,6 +3,7 @@ sequential forward block selection, and channel contribution maps."""
 
 from __future__ import annotations
 
+import contextlib
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -124,14 +125,6 @@ def _featurize_plans(configs: Sequence[RunConfig], tasks: Iterable | None) -> li
                 if config.notch_hz is not None:
                     specs.append(FilterSpec(kind="notch", band=config.notch_hz, q=config.notch_q))
                 filters = [design_butterworth(spec, x.fs) for spec in specs]
-                for key, (_, _, info) in plans.items():
-                    if key[1] is not None:
-                        try:
-                            info["_block_plan"] = plan_blocks(x.grids, *key[1])
-                        except Exception as exc:
-                            failed[key] = exc
-                        else:
-                            info["block_plan"] = info["_block_plan"].to_jsonable()
             live = [key for key in plans if key not in failed]
             if not live:
                 break
@@ -146,9 +139,12 @@ def _featurize_plans(configs: Sequence[RunConfig], tasks: Iterable | None) -> li
             if config.crop_s is not None:
                 x = crop(x, config.crop_s[0], config.crop_s[1])
             for key in live:
-                kind, _, window_s, overlap_s = key
+                kind, blocks, window_s, overlap_s = key
                 features, targets, info = plans[key]
                 try:
+                    if kind == "mld-bfm" and i == 0:
+                        info["_block_plan"] = plan_blocks(x.grids, *blocks)
+                        info["block_plan"] = info["_block_plan"].to_jsonable()
                     window_plan = plan_windows_seconds(x.n_samples, x.fs, window_s, overlap_s)
                     if kind == "mld-bfm":
                         tensor = extract_mld_bfm(x, info["_block_plan"], window_plan)
@@ -294,6 +290,21 @@ def _featurize_stages(info: dict) -> dict:
     return {key: info.get(key) for key in ("window_plan", "block_plan", "n_tasks", "n_windows", "pred_rate")}
 
 
+@contextlib.contextmanager
+def _stage(timings: dict, key: str, tag: str | None = None):
+    """Add the block's wall time to ``timings[key]``. With a ``tag``, an error
+    that is not a ``PipelineError`` yet leaves as ``PipelineError(tag, ...)``."""
+    start = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        if tag is None or isinstance(exc, PipelineError):
+            raise
+        raise PipelineError(tag, str(exc)) from exc
+    finally:
+        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - start)
+
+
 def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineResult:
     """Full decode: ``featurize``, PCA/NMF for those features, then
     ``decode_features``. The manifest captures every parameter of the run.
@@ -301,46 +312,28 @@ def run_pipeline(config: RunConfig, tasks: Iterable | None = None) -> PipelineRe
     ``tasks`` is an iterable of (SignalMatrix, Trajectory); when omitted the
     dataset directory named in the config is loaded lazily.
     """
-    t_start = time.perf_counter()
-    try:
+    timings: dict = {}
+    with _stage(timings, "featurize_s", "extract"):
         features, targets, info = featurize(config, tasks)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("extract", str(exc)) from exc
-    t_featurized = time.perf_counter()
-    return _decode_featurized(config, features, targets, info, t_featurized, t_featurized - t_start)
+    return _decode_featurized(config, features, targets, info, timings)
 
 
 def _decode_featurized(
-    config: RunConfig, features: list, targets: list, info: dict, t_start: float, featurize_s: float = 0.0
+    config: RunConfig, features: list, targets: list, info: dict, timings: dict
 ) -> PipelineResult:
-    """``run_pipeline`` after ``featurize``, which took ``featurize_s`` up to
-    ``t_start``: PCA/NMF for those features, then ``decode_features``. The
-    manifest gains ``info``'s stages, ``timings`` of ``featurize_s``,
-    ``decompose_s`` (0 for features without PCA/NMF) and ``model_s``, and
-    their sum as ``wall_time_s``."""
+    """``run_pipeline`` after featurizing: PCA/NMF, then ``decode_features``.
+    ``timings`` (holding ``featurize_s``) gains ``decompose_s`` and ``model_s``;
+    the manifest gains ``info``'s stages, ``timings`` and their sum as ``wall_time_s``."""
     decomp_info: dict = {}
-    if config.feature in ("pca", "nmf"):
-        try:
+    with _stage(timings, "decompose_s", "decompose"):
+        if config.feature in ("pca", "nmf"):
             features, decomp_info = _decompose_stage(config, features, targets)
-        except Exception as exc:
-            raise PipelineError("decompose", str(exc)) from exc
-    t_decomposed = time.perf_counter()
-
-    try:
+    with _stage(timings, "model_s", "model"):
         result = decode_features(config, features, targets, info["labels"], info["pred_rate"])
-    except Exception as exc:
-        raise PipelineError("model", str(exc)) from exc
     manifest = result.manifest
     manifest["stages"] = {**_featurize_stages(info), **decomp_info, **manifest["stages"]}
-    t_end = time.perf_counter()
-    manifest["timings"] = {
-        "featurize_s": featurize_s,
-        "decompose_s": t_decomposed - t_start,
-        "model_s": t_end - t_decomposed,
-    }
-    manifest["wall_time_s"] = featurize_s + (t_end - t_start)
+    manifest["timings"] = timings
+    manifest["wall_time_s"] = sum(timings.values())
     return result
 
 
@@ -393,14 +386,17 @@ def sweep(
     field = SWEEP_FIELDS[param]
     header = ("param", "value", "status", "r2_vw", "rmse_vw", "mae_vw", "r_vw")
     configs = [config.replace(**{field: value}) for value in sweep_values]
+    shared: dict = {}
+    with _stage(shared, "featurize_s"):
+        outcomes = _featurize_plans(configs, tasks)
     rows = []
-    for value, cfg, outcome in zip(sweep_values, configs, _featurize_plans(configs, tasks)):
+    for value, cfg, outcome in zip(sweep_values, configs, outcomes):
+        timings = dict(shared)
         try:
-            if isinstance(outcome, PipelineError):
-                raise outcome
-            if isinstance(outcome, Exception):
-                raise PipelineError("extract", str(outcome)) from outcome
-            m = _decode_featurized(cfg, *outcome, time.perf_counter()).metrics
+            with _stage(timings, "featurize_s", "extract"):
+                if isinstance(outcome, Exception):
+                    raise outcome
+            m = _decode_featurized(cfg, *outcome, timings).metrics
             rows.append((param, value, "ok", m.r2_vw, m.rmse_vw, m.mae_vw, m.r_vw))
         except Exception as exc:
             rows.append((param, value, f"failed: {exc}", "", "", "", ""))
@@ -599,18 +595,19 @@ def run_sfbs(
 ) -> tuple[SFBSResult, "ContributionMaps", BlockPlan, dict]:
     """SFBS over the MLD-BFM blocks of a dataset: extract features, split,
     scale once (per-column, so column subsets stay consistent), then run the
-    greedy selection with a fixed-alpha ridge scorer. The manifest's
-    ``timings`` split the wall time into ``featurize_s`` and ``select_s``."""
-    t_start = time.perf_counter()
+    greedy selection with a fixed-alpha ridge scorer. Extract errors are tagged
+    as in ``run_pipeline``, and the manifest's ``timings`` split ``wall_time_s``
+    into ``featurize_s`` (read, filter, extract) and ``select_s`` (split, scale, select)."""
     alpha = _require_alpha(alpha)
     # the scorer's alpha is fixed, so a grid, perhaps another model's, goes
     cfg = config.replace(feature="mld-bfm", model="ridge", n_win=1, grid=None)
-    features, targets, info = featurize(cfg, tasks)
-    t_select = time.perf_counter()
-    _, split, _ = _scaled_split(cfg, features, targets)
-    groups = group_columns_by_block(features[0])
-    result = sfbs_select(split.x_train, split.y_train, split.x_test, split.y_test, groups, alpha)
-    t_end = time.perf_counter()
+    timings: dict = {}
+    with _stage(timings, "featurize_s", "extract"):
+        features, targets, info = featurize(cfg, tasks)
+    with _stage(timings, "select_s"):
+        _, split, _ = _scaled_split(cfg, features, targets)
+        groups = group_columns_by_block(features[0])
+        result = sfbs_select(split.x_train, split.y_train, split.x_test, split.y_test, groups, alpha)
     block_plan: BlockPlan = info["_block_plan"]
     maps = contribution_map(result, block_plan)
     n_blocks = len(groups)
@@ -625,9 +622,8 @@ def run_sfbs(
             "n_features": int(split.x_train.shape[1]),
             "n_candidates": n_blocks * (n_blocks + 1) // 2,
         },
-        # featurize: read, filter, extract; select: split, scale and sfbs_select
-        "timings": {"featurize_s": t_select - t_start, "select_s": t_end - t_select},
-        "wall_time_s": time.perf_counter() - t_start,
+        "timings": timings,
+        "wall_time_s": sum(timings.values()),
     }
     return result, maps, block_plan, manifest
 

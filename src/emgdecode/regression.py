@@ -19,6 +19,7 @@ import scipy.linalg
 import scipy.spatial
 
 from .errors import (
+    AlignmentError,
     EmgDecodeError,
     InvalidInputError,
     InvalidSpecError,
@@ -26,6 +27,10 @@ from .errors import (
 )
 from .metrics import r2_vw
 from .signal_core import FilterSpec, apply_filtfilt, design_butterworth
+
+_CV_FOLDS = 5  # contiguous cross-validation folds
+_MLP_BATCH = 200  # MLP mini-batch rows
+_POSTFILTER_ORDER = 4  # Butterworth order of the prediction low-pass
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,6 @@ class ScalerPair:
     in_std: np.ndarray
     out_mean: float
     out_std: float
-    constant_features: tuple[int, ...]
 
     @classmethod
     def fit(cls, X: np.ndarray, Y: np.ndarray) -> "ScalerPair":
@@ -45,7 +49,6 @@ class ScalerPair:
         Y = np.asarray(Y, dtype=np.float64)
         in_mean = X.mean(axis=0)
         in_std = X.std(axis=0)
-        constant = tuple(int(i) for i in np.flatnonzero(in_std == 0.0))
         in_std = np.where(in_std == 0.0, 1.0, in_std)
         out_std = float(Y.std())
         return cls(
@@ -53,7 +56,6 @@ class ScalerPair:
             in_std=in_std,
             out_mean=float(Y.mean()),
             out_std=out_std if out_std > 0.0 else 1.0,
-            constant_features=constant,
         )
 
     def transform_inputs(self, X) -> np.ndarray:
@@ -110,9 +112,11 @@ class LinearModel:
 
 def _fit_inputs(kind: str, X, Y) -> tuple[np.ndarray, np.ndarray]:
     """Training rows as float arrays, ``Y`` with one column per output;
-    non-finite values have no fit."""
+    rows that do not pair up or non-finite values have no fit."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if X.shape[0] != Y.shape[0]:
+        raise AlignmentError(f"{kind}: X has {len(X)} rows but Y has {len(Y)}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise InvalidInputError(f"{kind} requires finite inputs")
     return X, (Y[:, None] if Y.ndim == 1 else Y)
@@ -341,10 +345,9 @@ def fit_mlp(
     max_iter: int = 200,
     patience: int = 20,
     seed: int = 0,
-    batch_size: int = 200,
 ) -> MLPModel:
     """One hidden ReLU layer trained with adaptive-moment gradient descent on
-    MSE, mini-batches of ``batch_size``, early stopping on a 10% validation
+    MSE, mini-batches of ``_MLP_BATCH`` rows, early stopping on a 10% validation
     split of the (already shuffled) training data.
 
     ``lr`` is the initial step size; it is divided by 5 whenever the epoch
@@ -383,8 +386,8 @@ def fit_mlp(
     for _ in range(max_iter):
         perm = rng.permutation(n_tr)
         epoch_losses = []
-        for s in range(0, n_tr, batch_size):
-            idx = perm[s : s + batch_size]
+        for s in range(0, n_tr, _MLP_BATCH):
+            idx = perm[s : s + _MLP_BATCH]
             loss, grads = _mlp_forward_backward(params, x_tr[idx], y_tr[idx])
             if not math.isfinite(loss):
                 raise TrainingDivergedError("non-finite training loss")
@@ -597,10 +600,10 @@ def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor:
+def grid_search_cv(spec: RegressorSpec, X, Y) -> FittedRegressor:
     """Grid search over the spec's hyperparameters with contiguous k-fold
-    cross-validation on the (pre-shuffled) training rows; variance-weighted
-    R^2 is the selection criterion and the winner is refit on all rows.
+    (``_CV_FOLDS``) cross-validation on the (pre-shuffled) training rows;
+    variance-weighted R^2 is the selection criterion and the winner is refit on all rows.
 
     Ridge and KNN score every grid point from one factorization per fold
     (``_SHARED_ROUTES``); Lasso and the MLP fit once per point and fold. A
@@ -616,18 +619,20 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if X.shape[0] != Y.shape[0]:
+        raise AlignmentError(f"{spec.kind}: X has {len(X)} rows but Y has {len(Y)}")
     n = X.shape[0]
-    if n < folds:
-        raise InvalidInputError(f"need at least {folds} rows for {folds}-fold CV")
+    if n < _CV_FOLDS:
+        raise InvalidInputError(f"need at least {_CV_FOLDS} rows for {_CV_FOLDS}-fold CV")
     points = spec.grid_points()
-    fold_slc = _fold_slices(n, folds)
+    fold_slc = _fold_slices(n, _CV_FOLDS)
     for fi, slc in enumerate(fold_slc):
         if (Y[slc].var(axis=0) == 0.0).all():
             raise InvalidInputError(
                 f"CV fold {fi} (rows {slc.start}:{slc.stop}) holds out targets with no variance; R^2 is undefined"
             )
     route = _SHARED_ROUTES.get(spec.kind)
-    scores = [[-math.inf] * folds for _ in points]
+    scores = [[-math.inf] * _CV_FOLDS for _ in points]
     failures: list[tuple[int, int, str]] = []
     for fi, slc in enumerate(fold_slc):
         mask = np.ones(n, dtype=bool)
@@ -652,7 +657,7 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
     best = int(np.argmax([-math.inf if math.isnan(m) else m for m in mean_scores]))
     if not math.isfinite(mean_scores[best]):
         raise TrainingDivergedError("every grid point failed during cross-validation")
-    final_seed = _derived_seed(spec.seed, best, folds)
+    final_seed = _derived_seed(spec.seed, best, _CV_FOLDS)
     model = fit_regressor(spec.kind, X, Y, points[best], seed=final_seed)
     return FittedRegressor(
         kind=spec.kind,
@@ -660,7 +665,7 @@ def grid_search_cv(spec: RegressorSpec, X, Y, folds: int = 5) -> FittedRegressor
         hyperparams=points[best],
         fold_scores=tuple(tuple(row) for row in scores),
         mean_scores=tuple(mean_scores),
-        n_fits=(folds if route else len(points) * folds) + 1,
+        n_fits=(_CV_FOLDS if route else len(points) * _CV_FOLDS) + 1,
         failures=tuple(sorted(failures)),
     )
 
@@ -671,16 +676,12 @@ def _derived_seed(base: int, grid_index: int, fold_index: int) -> int:
     )
 
 
-def postprocess(
-    pred: np.ndarray, pred_rate: float, cutoff_hz: float = 5.0, order: int = 4
-) -> tuple[np.ndarray, bool]:
-    """Zero-phase low-pass of predicted trajectories (test set, in temporal
-    order). Returns (filtered, bypassed); the filter is bypassed when the
-    cutoff reaches the prediction Nyquist (cutoff >= 0.499 * pred_rate)."""
+def postprocess(pred: np.ndarray, pred_rate: float, cutoff_hz: float = 5.0) -> tuple[np.ndarray, bool]:
+    """Zero-phase ``_POSTFILTER_ORDER`` Butterworth low-pass of predicted
+    trajectories (test set, in temporal order). Returns (filtered, bypassed);
+    bypassed when the cutoff reaches the Nyquist (cutoff >= 0.499 * pred_rate)."""
     pred = np.asarray(pred, dtype=np.float64)
     if cutoff_hz >= 0.499 * pred_rate:
         return pred.copy(), True
-    coeffs = design_butterworth(
-        FilterSpec(kind="lowpass", order=order, band=cutoff_hz), fs=pred_rate
-    )
+    coeffs = design_butterworth(FilterSpec(kind="lowpass", order=_POSTFILTER_ORDER, band=cutoff_hz), fs=pred_rate)
     return apply_filtfilt(coeffs, pred, axis=0), False

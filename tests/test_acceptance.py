@@ -198,7 +198,7 @@ def test_acceptance_6_feature_ordering_across_seeds():
         for config, outcome in zip(configs, _featurize_plans(configs, iter_tasks(SynthConfig(seed=seed)))):
             if isinstance(outcome, Exception):
                 raise outcome
-            scores[config.feature] = _decode_featurized(config, *outcome, time.perf_counter()).metrics.r2_vw
+            scores[config.feature] = _decode_featurized(config, *outcome, {}).metrics.r2_vw
         assert scores["mld-bfm"] >= scores["rms"] >= scores["nmf"], (seed, scores)
     passline(6, "r2_vw(MLD-BFM) >= r2_vw(RMS) >= r2_vw(NMF) for Ridge on seeds 0, 1, 2")
 

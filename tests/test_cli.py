@@ -122,7 +122,16 @@ class TestEvaluate:
 
 
 class TestExtract:
-    """Failures of the pipeline's extract stage, through ``evaluate``."""
+    """Failures of the pipeline's extract stage, through ``evaluate`` and ``sfbs``."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "sfbs"])
+    @pytest.mark.parametrize("plan", [{"block_size": 9}, {"window_s": 9.0}], ids=["block_9x9", "window_beyond_crop"])
+    def test_plan_that_does_not_fit_exits_1(self, dataset, tmp_path, capsys, command, plan):
+        root, ds = dataset
+        cfg = write_run_config(root, **plan)
+        rc = main([command, "--dataset", str(ds), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: [extract] " in capsys.readouterr().err
 
     def test_mixed_fs_exits_1(self, dataset, tmp_path, capsys):
         root, ds = dataset

@@ -264,10 +264,17 @@ class TestPipeline:
     def test_stage_errors_are_tagged(self, small_tasks):
         from emgdecode import PipelineError
 
-        bad = RunConfig(crop_s=(0.5, 100.0), seed=0)  # beyond task duration
-        with pytest.raises(PipelineError) as err:
-            run_pipeline(bad, iter(small_tasks))
-        assert err.value.stage == "extract"
+        # a crop beyond the task duration, a block larger than the 8 x 8 grids,
+        # a window longer than the crop: run_sfbs tags each as run_pipeline does
+        for bad in (
+            RunConfig(crop_s=(0.5, 100.0), seed=0),
+            RunConfig(crop_s=(0.5, 7.5), seed=0, block_size=9),
+            RunConfig(crop_s=(0.5, 7.5), seed=0, window_s=9.0),
+        ):
+            for run in (run_pipeline, run_sfbs):
+                with pytest.raises(PipelineError) as err:
+                    run(bad, iter(small_tasks))
+                assert err.value.stage == "extract", (bad, run)
 
 
 @pytest.fixture(scope="module")

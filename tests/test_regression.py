@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from emgdecode import (
     DEFAULT_GRIDS,
+    AlignmentError,
     ConfigError,
     InvalidInputError,
     InvalidSpecError,
@@ -53,7 +54,7 @@ class TestScaler:
         X = np.ones((50, 3))
         X[:, 1] = np.linspace(0, 1, 50)
         sc = ScalerPair.fit(X, np.zeros((50, 1)))
-        assert sc.constant_features == (0, 2)
+        assert sc.in_std[0] == sc.in_std[2] == 1.0
         assert np.isfinite(sc.transform_inputs(X)).all()
 
 
@@ -266,16 +267,15 @@ class TestLasso:
         assert fit_ridge(X, Y, 0.1).n_iter == () and fit_ridge(X, Y, 0.1).converged == ()
 
 
-@pytest.mark.parametrize(
-    "kind, fit",
-    [
-        ("ridge", lambda X, Y: fit_ridge(X, Y, 1.0)),
-        ("lasso", lambda X, Y: fit_lasso(X, Y, 0.1)),
-        ("knn", lambda X, Y: fit_knn(X, Y, k=3)),
-        ("mlp", lambda X, Y: fit_mlp(X, Y, hidden=4, lr=0.01, max_iter=2)),
-    ],
-    ids=["ridge", "lasso", "knn", "mlp"],
-)
+FITS = [
+    ("ridge", lambda X, Y: fit_ridge(X, Y, 1.0)),
+    ("lasso", lambda X, Y: fit_lasso(X, Y, 0.1)),
+    ("knn", lambda X, Y: fit_knn(X, Y, k=3)),
+    ("mlp", lambda X, Y: fit_mlp(X, Y, hidden=4, lr=0.01, max_iter=2)),
+]
+
+
+@pytest.mark.parametrize("kind, fit", FITS, ids=[kind for kind, _ in FITS])
 def test_nonfinite_input_rejected(kind, fit):
     X = np.random.default_rng(25).standard_normal((40, 3))
     X[5, 1] = np.nan
@@ -283,6 +283,18 @@ def test_nonfinite_input_rejected(kind, fit):
         fit(X, np.zeros((40, 1)))
     with pytest.raises(InvalidInputError, match=kind):
         fit(np.zeros((40, 3)), np.full((40, 1), np.inf))
+
+
+@pytest.mark.parametrize(
+    "kind, fit",
+    [*FITS, ("knn", lambda X, Y: grid_search_cv(RegressorSpec("knn", seed=0), X, Y))],
+    ids=[*(kind for kind, _ in FITS), "grid_search_cv"],
+)
+def test_unpaired_rows_rejected(kind, fit):
+    # one Y row too many: KNN would pair the rows wrongly, the others fail untyped
+    rng = np.random.default_rng(26)
+    with pytest.raises(AlignmentError, match=f"{kind}: X has 40 rows but Y has 41"):
+        fit(rng.standard_normal((40, 3)), rng.standard_normal((41, 2)))
 
 
 @pytest.mark.parametrize("fit", [fit_ridge, fit_lasso])
