@@ -11,6 +11,7 @@ import numpy as np
 
 from .blocks import (
     WindowPlan,
+    _check_windows_fit,
     window_abs_diff_sum,
     window_abs_sum,
     window_sumsq,
@@ -23,6 +24,7 @@ from .signal_core import SignalMatrix, require_finite
 def extract_rms(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
     """W x C tensor of per-channel windowed RMS."""
     require_finite(x)
+    _check_windows_fit(x, window_plan)
     sumsq = window_sumsq(x.data, window_plan)
     values = np.sqrt(sumsq / window_plan.length)
     columns = tuple(f"ch{c:03d}:rms" for c in range(x.n_channels))
@@ -32,6 +34,7 @@ def extract_rms(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
 def extract_mav_wl(x: SignalMatrix, window_plan: WindowPlan) -> FeatureTensor:
     """W x 2C tensor: mean absolute value columns, then waveform length."""
     require_finite(x)
+    _check_windows_fit(x, window_plan)
     mav = window_abs_sum(x.data, window_plan) / window_plan.length
     wl = window_abs_diff_sum(x.data, window_plan)
     values = np.concatenate([mav, wl], axis=1)
@@ -100,10 +103,13 @@ def fit_pca(rms_train, n_comp: int) -> DecompositionModel:
     )
 
 
-def _nndsvd(A: np.ndarray, n_comp: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative double SVD initialization; zero entries are replaced by
-    small seeded random values uniform in [0, mean(A)/100]."""
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+def _nndsvd(
+    A: np.ndarray, n_comp: int, rng: np.random.Generator, usv: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative double SVD initialization from ``usv``, A's thin SVD
+    (computed here when not given); zero entries are replaced by small seeded
+    random values uniform in [0, mean(A)/100]."""
+    U, S, Vt = np.linalg.svd(A, full_matrices=False) if usv is None else usv
     rows, n_ch = A.shape
     W = np.zeros((rows, n_comp))
     H = np.zeros((n_comp, n_ch))
@@ -140,18 +146,19 @@ _MAX_COMPONENTS = 19  # longest variance-explained curve
 
 
 def _nmf_factorize(
-    A: np.ndarray, n_comp: int, seed: int, max_iter: int = 500, rel_tol: float = 1e-4
+    A: np.ndarray, n_comp: int, seed: int, max_iter: int = 500, rel_tol: float = 1e-4, usv: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
     """Multiplicative updates on the Frobenius objective 0.5*||A - WH||^2,
     stopping when the relative objective decrease falls below ``rel_tol``.
     Returns W, H, the objective before and after each iteration, and whether
-    that test stopped the updates (False when ``max_iter`` did).
+    that test stopped the updates (False when ``max_iter`` did). ``usv``, A's
+    thin SVD, goes to ``_nndsvd``.
 
     After each iteration the objective is
     0.5*(||A||^2 - 2<W, AH'> + <W'W, HH'>), from products the updates form
     anyway; W'W is also the next H update's ``W'W @ H``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    W, H = _nndsvd(A, n_comp, rng)
+    W, H = _nndsvd(A, n_comp, rng, usv)
     norm2 = float(np.vdot(A, A))
     objective = [0.5 * float(((A - W @ H) ** 2).sum())]
     converged = False
@@ -319,8 +326,9 @@ def select_components(
             curve.append(r2_var(X, rec))
     else:
         seeds = np.random.SeedSequence(seed).generate_state(n_max)
+        usv = np.linalg.svd(X, full_matrices=False)  # one SVD starts every point
         for n in range(1, n_max + 1):
-            W, H, objective, stopped = _nmf_factorize(X, n, int(seeds[n - 1]))
+            W, H, objective, stopped = _nmf_factorize(X, n, int(seeds[n - 1]), usv=usv)
             curve.append(r2_var(X, W @ H))
             n_iter.append(len(objective) - 1)
             converged.append(stopped)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidRangeError, InvalidSpecError
+from .errors import InvalidInputError, InvalidRangeError, InvalidSpecError
 from .signal_core import GridLayout, SignalMatrix
 
 
@@ -140,6 +140,16 @@ def slice_segment(
         raise InvalidRangeError(f"block index {b} out of range [0, {block_plan.n_blocks})")
     t0 = int(window_plan.starts[w])
     return np.array(x.data[t0 : t0 + window_plan.length][:, block_plan.blocks[b]])
+
+
+def _check_windows_fit(x: SignalMatrix, plan: WindowPlan) -> None:
+    """Raise unless every window of ``plan`` lies inside ``x``'s samples."""
+    end = (plan.count - 1) * plan.stride + plan.length
+    if end > x.n_samples:
+        raise InvalidInputError(
+            f"window plan ({plan.count} windows of {plan.length} samples, stride {plan.stride}) "
+            f"ends at sample {end}, past the signal's {x.n_samples} samples"
+        )
 
 
 def channel_major(values: np.ndarray) -> np.ndarray:

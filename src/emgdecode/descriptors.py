@@ -20,11 +20,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import BlockPlan, WindowPlan, channel_major, channel_windows, window_diff_sumsq, window_sumsq
+from .blocks import (
+    BlockPlan,
+    WindowPlan,
+    _check_windows_fit,
+    channel_major,
+    channel_windows,
+    window_diff_sumsq,
+    window_sumsq,
+)
 from .errors import InvalidInputError
 from .signal_core import SignalMatrix, _worker_pool, require_finite
 
@@ -148,67 +156,135 @@ def extract_mld_bfm(
     forms sigma and phi from the window sums, then waits on the items and
     re-raises an item's error. Each matrix comes from the same call on the
     same data whatever the chunking, so the features are bit-identical on
-    any pool width."""
-    require_finite(x)
-    cm = channel_major(x.data)  # (C, S)
-    L = window_plan.length
-    n_b = block_plan.n_blocks
-    K = block_plan.channels_per_block
-    idx = np.stack(block_plan.blocks)  # (n_B, K)
-    omega_vals = np.ones((window_plan.count, n_b))
-    items = [] if K == 1 else _submit_omega(cm, block_plan, window_plan, idx, omega_vals)
+    any pool width. A block plan made for other grids, or a window plan
+    whose last window ends past the signal, raises ``InvalidInputError``.
 
-    # The window sums stay on this thread: a tracer may wrap them, and its
-    # single span stack cannot take spans opened on pool threads.
-    sumsq = window_sumsq(cm.T, window_plan)
-    diffsq = window_diff_sumsq(cm.T, window_plan)
+    This is the one-plan call of the extraction that ``featurize``'s pass
+    makes once per task and window for all its block plans."""
+    (outcome,) = _extract_plans(x, [block_plan], window_plan)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _extract_plans(x: SignalMatrix, block_plans: Sequence[BlockPlan], window_plan: WindowPlan) -> list:
+    """``extract_mld_bfm`` for many block plans over one signal and window plan.
+
+    The finiteness check, the window sums and each grid's window Gram are
+    formed once and serve every plan; each pool item gathers every plan's
+    blocks from its Gram. Returns, per plan, its ``FeatureTensor`` or the
+    exception that plan raised: an error in a plan's own work (a plan made
+    for other grids, its gathers, its ``eigvalsh``) fails that plan only, an
+    error in the shared work every plan not failed yet. Every item has
+    finished when this returns."""
+    if not block_plans:
+        return []
+    errors: dict[int, Exception] = {}
+    for p, bp in enumerate(block_plans):
+        if bp.grids != x.grids:
+            errors[p] = InvalidInputError(
+                f"block plan (B={bp.block_size}, step {bp.step}) is for grids {_grid_names(bp.grids)}, "
+                f"the signal has {_grid_names(x.grids)}"
+            )
+    live = [p for p in range(len(block_plans)) if p not in errors]
+    values: dict[int, np.ndarray] = {}
+    items: list[Future] = []
+    try:
+        require_finite(x)
+        _check_windows_fit(x, window_plan)
+        cm = channel_major(x.data)  # (C, S)
+        for p in live:
+            values[p] = np.empty((window_plan.count, 3 * block_plans[p].n_blocks))
+            values[p][:, 2::3] = 1.0  # omega of K = 1 blocks; items overwrite the rest
+        items = _submit_omega(cm, x.grids, window_plan, {p: (block_plans[p], values[p][:, 2::3]) for p in live})
+        # The window sums stay on this thread: a tracer may wrap them, and its
+        # single span stack cannot take spans opened on pool threads.
+        sumsq = window_sumsq(cm.T, window_plan)
+        diffsq = window_diff_sumsq(cm.T, window_plan)
+        for p in live:
+            try:
+                _sigma_phi(values[p], block_plans[p], sumsq, diffsq, window_plan.length, x.fs)
+            except Exception as exc:
+                errors[p] = exc
+        wait(items)
+        for item in items:
+            for p, exc in item.result().items():  # re-raises a shared error
+                errors.setdefault(p, exc)
+    except Exception as exc:
+        wait(items)  # so a failed call leaves no item running behind it
+        return [errors.get(p, exc) for p in range(len(block_plans))]
+    outcomes: list = []
+    for p, bp in enumerate(block_plans):
+        if p in errors:
+            outcomes.append(errors[p])
+            continue
+        columns = tuple(mld_column_name(b, d) for b in range(bp.n_blocks) for d in DESCRIPTOR_NAMES)
+        try:
+            outcomes.append(FeatureTensor(values=values[p], columns=columns))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _grid_names(grids) -> str:
+    return "(" + ", ".join(f"{g.name} {g.n_rows}x{g.n_cols} at channel {g.channel_offset}" for g in grids) + ")"
+
+
+def _sigma_phi(
+    values: np.ndarray, block_plan: BlockPlan, sumsq: np.ndarray, diffsq: np.ndarray, L: int, fs: float
+) -> None:
+    """Sigma and phi of every window and block, from the window sums into ``values``' columns."""
+    idx = np.stack(block_plan.blocks)  # (n_B, K)
     block_sumsq = sumsq[:, idx].sum(axis=-1)
     block_diffsq = diffsq[:, idx].sum(axis=-1)
-
-    sig = np.sqrt(block_sumsq / (K * L))
+    values[:, 0::3] = np.sqrt(block_sumsq / (block_plan.channels_per_block * L))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(block_sumsq > 0.0, block_diffsq / np.where(block_sumsq > 0.0, block_sumsq, 1.0), 0.0)
-    phi_vals = np.sqrt(ratio) * (x.fs / TWO_PI)
-
-    wait(items)  # so a failed call leaves no item running behind it
-    for item in items:
-        item.result()  # re-raises an item's error
-    values = np.empty((window_plan.count, 3 * n_b))
-    values[:, 0::3] = sig
-    values[:, 1::3] = phi_vals
-    values[:, 2::3] = omega_vals
-    columns = tuple(
-        mld_column_name(b, d) for b in range(n_b) for d in DESCRIPTOR_NAMES
-    )
-    return FeatureTensor(values=values, columns=columns)
+    values[:, 1::3] = np.sqrt(ratio) * (fs / TWO_PI)
 
 
-def _submit_omega(
-    cm: np.ndarray, block_plan: BlockPlan, window_plan: WindowPlan, idx: np.ndarray, out: np.ndarray
-) -> list[Future]:
-    """Queue the omega items; each writes its own (window chunk, grid blocks) cells of ``out``."""
+def _submit_omega(cm: np.ndarray, grids, window_plan: WindowPlan, plans: dict) -> list[Future]:
+    """Queue the omega items of ``plans`` (index -> (block plan, omega columns));
+    each item forms one grid's Gram over a window chunk and writes every
+    plan's blocks of that grid into those rows of the plan's columns."""
+    per_grid: dict[int, list] = {}
+    for p, (bp, out) in plans.items():
+        if bp.channels_per_block == 1:
+            continue
+        idx = np.stack(bp.blocks)  # (n_B, K)
+        for gi, g in enumerate(grids):
+            block_ids = [b for b, i in enumerate(bp.grid_index) if i == gi]
+            if block_ids:
+                per_grid.setdefault(gi, []).append((p, idx[block_ids] - g.channel_offset, block_ids, out))
+    if not per_grid:
+        return []
     workers, pool = _worker_pool()
-    per_grid: dict[int, list[int]] = {}
-    for b, gi in enumerate(block_plan.grid_index):
-        per_grid.setdefault(gi, []).append(b)
     # more chunks per grid made large-B items too small to pay for themselves
     # on 2 cores, and filtfilt's cache-sized chunks were slower still
     n_chunks = -(-workers // len(per_grid))
     W, L = window_plan.count, window_plan.length
     bounds = sorted({W * k // n_chunks for k in range(n_chunks + 1)})
     items = []
-    for gi, block_ids in per_grid.items():
-        g = block_plan.grids[gi]
+    for gi, grid_plans in per_grid.items():
+        g = grids[gi]
         rows = cm[g.channel_offset : g.channel_offset + g.n_channels]
         v = channel_windows(rows, window_plan, L).transpose(1, 0, 2)  # (W, G, L)
-        local = idx[block_ids] - g.channel_offset  # (n_bg, K)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            items.append(pool.submit(_omega_chunk, v[lo:hi], local, block_ids, L, out[lo:hi]))
+            chunk = [(p, local, block_ids, out[lo:hi]) for p, local, block_ids, out in grid_plans]
+            items.append(pool.submit(_omega_chunk, v[lo:hi], L, chunk))
     return items
 
 
-def _omega_chunk(v: np.ndarray, local: np.ndarray, block_ids: list[int], L: int, out: np.ndarray) -> None:
-    """Omega of one grid's blocks over a chunk of windows ``v`` (w, G, L), into ``out``'s rows."""
+def _omega_chunk(v: np.ndarray, L: int, plans: list) -> dict[int, Exception]:
+    """Omega over a chunk of windows ``v`` (w, G, L) of one grid, for each of
+    ``plans`` (index, local block channels, block ids, omega rows): one Gram,
+    then each plan's blocks. Returns the error of each plan that failed."""
     gram = v @ v.transpose(0, 2, 1)  # (w, G, G) = X^T X per window
-    covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (w, n_bg, K, K)
-    out[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))
+    errors = {}
+    for p, local, block_ids, out in plans:
+        try:
+            covs = gram[:, local[:, :, None], local[:, None, :]] / L  # (w, n_bg, K, K)
+            out[:, block_ids] = spectral_complexity(np.linalg.eigvalsh(covs))
+        except Exception as exc:
+            errors[p] = exc
+    return errors

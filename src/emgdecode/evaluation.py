@@ -15,7 +15,7 @@ import scipy.linalg
 from .baselines import extract_mav_wl, extract_rms, fit_nmf, fit_pca, select_components, transform
 from .blocks import BlockPlan, plan_blocks, plan_windows_seconds
 from .config import SWEEP_FIELDS, SWEEP_RANGES, RunConfig
-from .descriptors import FeatureTensor, extract_mld_bfm
+from .descriptors import FeatureTensor, _extract_plans
 from .errors import AlignmentError, InvalidInputError, InvalidSpecError, PipelineError
 from .io import csv_text, iter_dataset
 from .metrics import MetricsReport, compute_metrics
@@ -97,14 +97,17 @@ def _featurize_plans(configs: Sequence[RunConfig], tasks: Iterable | None) -> li
 
     Each task is read, checked, filtered and cropped once; then every
     distinct feature plan (extractor, blocks, window) is applied to it, and
-    configs with the same plan share one extraction. Only the features and
-    targets are kept. Returns, per config, ``(features, targets, info)`` or
-    the exception ``featurize(config, tasks)`` raises: a plan that fails
-    fails its own configs, a task that fails fails every config not failed
-    yet, and the pass stops once every config has failed. The dataset, the
-    filters and the crop are the first config's, so the configs must agree on
-    them; the returned tensors are shared between configs and must not be
-    mutated.
+    configs with the same plan share one extraction. The MLD-BFM plans with
+    the same window share one ``_extract_plans`` call per task: one
+    finiteness check, one set of window sums and one Gram per grid and window
+    serve all their block plans. Each window's targets are resampled once.
+    Only the features and targets are kept. Returns, per config,
+    ``(features, targets, info)`` or the exception ``featurize(config,
+    tasks)`` raises: a plan that fails fails its own configs, a task that
+    fails fails every config not failed yet, and the pass stops once every
+    config has failed. The dataset, the filters and the crop are the first
+    config's, so the configs must agree on them; the returned tensors and
+    targets are shared between configs and must not be mutated.
     """
     if not configs:
         return []
@@ -138,29 +141,45 @@ def _featurize_plans(configs: Sequence[RunConfig], tasks: Iterable | None) -> li
             x = filtfilt(x, *filters)
             if config.crop_s is not None:
                 x = crop(x, config.crop_s[0], config.crop_s[1])
+            if i == 0:
+                for key in live:
+                    if key[0] == "mld-bfm":
+                        try:
+                            block_plan = plan_blocks(x.grids, *key[1])
+                        except Exception as exc:
+                            failed[key] = exc
+                            continue
+                        plans[key][2].update(_block_plan=block_plan, block_plan=block_plan.to_jsonable())
+            windows: dict[tuple, list] = {}
             for key in live:
-                kind, blocks, window_s, overlap_s = key
-                features, targets, info = plans[key]
+                if key not in failed:
+                    windows.setdefault(key[2:], []).append(key)
+            for (window_s, overlap_s), group in windows.items():
                 try:
-                    if kind == "mld-bfm" and i == 0:
-                        info["_block_plan"] = plan_blocks(x.grids, *blocks)
-                        info["block_plan"] = info["_block_plan"].to_jsonable()
                     window_plan = plan_windows_seconds(x.n_samples, x.fs, window_s, overlap_s)
-                    if kind == "mld-bfm":
-                        tensor = extract_mld_bfm(x, info["_block_plan"], window_plan)
-                    elif kind == "mav-wl":
-                        tensor = extract_mav_wl(x, window_plan)
-                    else:
-                        tensor = extract_rms(x, window_plan)
                     target = resample_targets(traj, window_plan, x.fs, t_offset=x.t0)
                 except Exception as exc:
-                    failed[key] = exc
+                    failed.update(dict.fromkeys(group, exc))
                     continue
-                features.append(tensor)
-                targets.append(target)
-                info.setdefault("window_plan", window_plan.to_jsonable())
-                info.setdefault("pred_rate", x.fs / window_plan.stride)
-                info.setdefault("labels", traj.labels)
+                mld = [key for key in group if key[0] == "mld-bfm"]
+                block_plans = [plans[key][2]["_block_plan"] for key in mld]
+                tensors = dict(zip(mld, _extract_plans(x, block_plans, window_plan)))
+                for key in group:
+                    tensor = tensors.get(key)
+                    if tensor is None:  # rms, or mav-wl
+                        try:
+                            tensor = (extract_mav_wl if key[0] == "mav-wl" else extract_rms)(x, window_plan)
+                        except Exception as exc:
+                            tensor = exc
+                    if isinstance(tensor, Exception):
+                        failed[key] = tensor
+                        continue
+                    features, targets, info = plans[key]
+                    features.append(tensor)
+                    targets.append(target)
+                    info.setdefault("window_plan", window_plan.to_jsonable())
+                    info.setdefault("pred_rate", x.fs / window_plan.stride)
+                    info.setdefault("labels", traj.labels)
     except Exception as exc:
         for key in plans:
             failed.setdefault(key, exc)

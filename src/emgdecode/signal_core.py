@@ -219,13 +219,14 @@ def apply_filtfilt(coeffs: IIRCoefficients, values: np.ndarray, axis: int = 0) -
     return sps.sosfiltfilt(coeffs.sos, values, axis=axis, padtype="odd", padlen=padlen)
 
 
-# One process-wide pool, shared by ``filtfilt``'s channel chunks,
-# ``descriptors.extract_mld_bfm``'s omega items and ``synth.generate_tasks``'s
-# tasks, created on first use and dropped in a forked child, whose copy would
-# wait forever on threads that the fork did not copy. It is process-wide because a pool per call, though
-# bit-identical and free of this lock and fork hook, filtered one 5 s,
-# 128-channel task in 46-47 ms instead of 37-40 ms on 2 cores, paying for new
-# threads on every call.
+# One process-wide pool, shared by ``filtfilt``'s channel chunks, MLD-BFM
+# extraction's omega items (one per grid and window chunk, each serving every
+# block plan of its call) and ``synth.generate_tasks``'s tasks, created on
+# first use and dropped in a forked child, whose copy would wait forever on
+# threads that the fork did not copy. It is process-wide because a pool per
+# call, though bit-identical and free of this lock and fork hook, filtered
+# one 5 s, 128-channel task in 46-47 ms instead of 37-40 ms on 2 cores,
+# paying for new threads on every call.
 _pool: tuple[int, ThreadPoolExecutor] | None = None
 _pool_lock = threading.Lock()
 

@@ -319,3 +319,17 @@ class TestPlateau:
         assert sel.converged[0] and sel.n_iter[0] < 500
         assert not sel.converged[2] and sel.n_iter[2] == 500
         assert select_components(tensor_of(data), "pca").converged == ()
+
+    def test_nmf_curve_equals_each_factorisation_alone(self, monkeypatch):
+        # the points share one SVD of the training rows
+        data = np.random.default_rng(16).uniform(0.0, 1.0, (60, 12))
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        sel = select_components(tensor_of(data), "nmf", seed=3)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        seeds = np.random.SeedSequence(3).generate_state(12)
+        for n, seed in enumerate(seeds, 1):
+            W, H, objective, converged = _nmf_factorize(data, n, int(seed))
+            assert sel.curve[n - 1] == r2_var(data, W @ H)
+            assert (sel.n_iter[n - 1], sel.converged[n - 1]) == (len(objective) - 1, converged)

@@ -267,6 +267,34 @@ class TestExtract:
             else:
                 extract_mld_bfm(x, plan_blocks(x.grids, extractor, 1), wp)
 
+    def test_block_plan_for_other_grids_named(self):
+        # more channels than the signal, the same channels in another layout,
+        # and fewer: an IndexError, then silently wrong features before
+        two_grid = coded_signal(n_samples=700)
+        one_grid = one_grid_signal(n_samples=700, seed=18)
+        wide = (GridLayout("EDC", 4, 16, 0), GridLayout("FDS", 4, 16, 64))
+        for x, grids in ((one_grid, two_grid.grids), (two_grid, wide), (two_grid, one_grid.grids)):
+            wp = plan_windows(x.n_samples, 308, 103)
+            match = r"block plan \(B=2, step 1\) is for grids .* the signal has"
+            with pytest.raises(InvalidInputError, match=match):
+                extract_mld_bfm(x, plan_blocks(grids, 2, 1), wp)
+
+    @pytest.mark.parametrize("extractor", [2, "rms", "mav-wl"])
+    def test_window_plan_past_the_signal_named(self, extractor):
+        # a plan made for twice the samples: numpy's shape error for MLD-BFM,
+        # and 5 of 11 windows for RMS, before
+        x = coded_signal(n_samples=1200, seed=19)
+        wp = plan_windows(2 * x.n_samples, 308, 103)
+        assert wp.count == 11
+        match = r"window plan \(11 windows of 308 samples, stride 205\) ends at sample 2358, past the signal's 1200"
+        with pytest.raises(InvalidInputError, match=match):
+            if extractor == "rms":
+                extract_rms(x, wp)
+            elif extractor == "mav-wl":
+                extract_mav_wl(x, wp)
+            else:
+                extract_mld_bfm(x, plan_blocks(x.grids, extractor, 1), wp)
+
 
 def serial_omega(x, bp, wp):
     """Reference: omega of every window and block from one Gram product and
@@ -310,6 +338,22 @@ class TestPooledExtract:
                     with pool_of(workers):
                         other = extract_mld_bfm(x, bp, wp).values
                     assert pooled.tobytes() == other.tobytes(), (n_windows, step, workers)
+
+    @pytest.mark.parametrize("layout", ["one-grid", "two-grid"])
+    def test_shared_call_equals_each_plan_alone(self, layout):
+        make = one_grid_signal if layout == "one-grid" else coded_signal
+        x = make(n_samples=308 + 205 * 4, seed=60)
+        wp = plan_windows(x.n_samples, 308, 103)
+        plans = [plan_blocks(x.grids, size, step) for size in range(1, 9) for step in (1, 2)]
+        other = (GridLayout("EDC", 4, 16, 0),)  # a plan for other grids fails alone
+        with pool_of(2):
+            alone = [extract_mld_bfm(x, bp, wp) for bp in plans]
+        for workers in (1, 3):
+            with pool_of(workers):
+                shared = descriptors._extract_plans(x, [*plans, plan_blocks(other, 2, 1)], wp)
+            assert isinstance(shared[-1], InvalidInputError)
+            for got, want in zip(shared[:-1], alone):
+                assert got.columns == want.columns and got.values.tobytes() == want.values.tobytes()
 
     def test_concurrent_callers_get_the_serial_result(self):
         rng = np.random.default_rng(40)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -48,7 +49,7 @@ from emgdecode import (
     sfbs_select,
     sweep,
 )
-from emgdecode import evaluation
+from emgdecode import descriptors, evaluation
 from emgdecode.config import SWEEP_FIELDS
 from emgdecode.evaluation import SFBSResult, _decompose_stage, _featurize_plans, featurize
 from emgdecode.io import save_dataset
@@ -507,6 +508,40 @@ class TestSharedPass:
         table = sweep("n_win", PASS_RUN, tasks=iter(pass_tasks), values=(1, 2))
         assert [row[2] for row in table.rows] == ["ok"] * 2
         assert calls == {"filtfilt": 2 * len(pass_tasks), "iter_dataset": 1}
+
+    def test_one_window_sum_per_task_for_every_block_size(self, pass_tasks, monkeypatch):
+        calls = []
+        window_sumsq = descriptors.window_sumsq
+        monkeypatch.setattr(descriptors, "window_sumsq", lambda *a: calls.append(1) or window_sumsq(*a))
+        table = sweep("block_size", PASS_RUN, tasks=pass_tasks, values=(1, 2, 3, 4))
+        assert [row[2] for row in table.rows] == ["ok"] * 4
+        assert len(calls) == len(pass_tasks)
+
+    def test_plan_whose_eigvalsh_fails_fails_only_its_cells(self, pass_tasks, monkeypatch):
+        values = (1, 2, 3, 4)
+        expected = per_cell_rows("block_size", PASS_RUN, pass_tasks, values)
+        eigvalsh, omega_chunk = np.linalg.eigvalsh, descriptors._omega_chunk
+        running = []
+
+        def failing_eigvalsh(a, *args, **kwargs):
+            if a.shape[-1] == 9:  # 3 x 3 blocks only
+                raise np.linalg.LinAlgError("planted failure")
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_chunk(*args):
+            running.append(1)
+            try:
+                time.sleep(0.01)  # an item left behind would still be running below
+                return omega_chunk(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        monkeypatch.setattr(descriptors, "_omega_chunk", counted_chunk)
+        rows = sweep("block_size", PASS_RUN, tasks=pass_tasks, values=values).rows
+        assert not running
+        assert rows[2][2] == "failed: [extract] planted failure"
+        assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
 
     @settings(max_examples=15, deadline=None)
     @example(configs=[PASS_RUN.replace(block_size=9), PASS_RUN, PASS_RUN.replace(window_s=9.0), PASS_RUN])
